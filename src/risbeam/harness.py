@@ -134,8 +134,12 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
 
 
 def _batch_patterns(config: ScenarioConfig) -> np.ndarray:
-    """Achieved patterns over freshly drawn design channels, one per row."""
-    children = np.random.SeedSequence(config.seed).spawn(2 * config.batch_channels)
+    """Achieved patterns over freshly drawn design channels, one per row.
+
+    The rows draw from scenario child 3, which neither the design channel
+    nor the synthesis starts use, so no row repeats the design itself.
+    """
+    children = scenario_rng_children(config, 4)[3].spawn(2 * config.batch_channels)
     rows = []
     for i in range(config.batch_channels):
         paths = sample_paths(config.bs_ris_channel(), np.random.default_rng(children[2 * i]))
@@ -154,6 +158,8 @@ def _subcarrier_rate(eq_channel: np.ndarray, precoder: np.ndarray, snr_scale: fl
     hw = eq_channel @ precoder
     gram = np.eye(eq_channel.shape[0]) + snr_scale * hw @ hw.conj().T
     sign, logdet = np.linalg.slogdet(gram)
+    if sign.real <= 0:
+        raise ValueError("rate computation hit a non positive-definite Gram matrix")
     return float(logdet / math.log(2.0))
 
 

@@ -11,7 +11,7 @@ subproblem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +67,12 @@ def is_unit_modulus(theta: np.ndarray, atol: float = 1e-12) -> bool:
 @dataclass(frozen=True)
 class ArmijoParams:
     """Backtracking constants: step q * contraction^n, sufficient-decrease
-    factor, and the halving budget."""
+    factor, and the halving budget.
+
+    Inside a CG solve ``initial_step`` is the first search's step and the cap
+    on every later one: a later search starts at min(q, 4 * previous accepted
+    step), so it does not halve from q again every iteration.
+    """
 
     initial_step: float = 1.0
     contraction: float = 0.5
@@ -150,6 +155,11 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     tangent projection before entering the Polak-Ribiere parameter, which is
     clamped at zero; any non-descent direction triggers a reset to steepest
     descent.
+
+    Each search after the first starts at min(q, 4 * previous accepted step)
+    (Nocedal & Wright, Numerical Optimization, ch. 3); the steepest-descent
+    retry after a failed search starts at q again. The acceptance test is
+    unchanged, so the cost trace stays nonincreasing.
     """
     x = np.asarray(x0, dtype=complex)
     g = project(x, euclidean_grad(x))
@@ -158,6 +168,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     trace = [j]
     status = "max_iterations"
     gnorm = float(np.linalg.norm(g))
+    warm = armijo
     it = 0
     for it in range(1, max_iters + 1):
         if gnorm < grad_tol:
@@ -167,7 +178,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
         if real_inner(g, d) >= 0.0 and np.any(d != 0):
             d = -g
         try:
-            accepted = armijo_search(cost, x, d, g, armijo, cost_at_base=j,
+            accepted = armijo_search(cost, x, d, g, warm, cost_at_base=j,
                                      retraction=retraction)
         except LineSearchError:
             if np.array_equal(d, -g):
@@ -183,6 +194,8 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
                 it -= 1
                 break
         x_new, j_new = accepted.point, accepted.cost
+        if accepted.step > 0.0:  # a step halved past the smallest float is 0
+            warm = replace(armijo, initial_step=min(armijo.initial_step, 4.0 * accepted.step))
         g_new = project(x_new, euclidean_grad(x_new))
         beta = max(0.0, real_inner(g_new, g_new - project(x_new, g)) / (gnorm * gnorm))
         d = -g_new + beta * project(x_new, d)

@@ -195,16 +195,35 @@ def path_excitations(stats: ChannelStats, precoder) -> np.ndarray:
     return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=1)
 
 
+def _pattern_scale(stats: ChannelStats) -> float:
+    """Constant factor M^2 * N_BS of the average pattern."""
+    m = stats.num_ris_elements
+    return float(m * m * stats.num_bs_antennas)
+
+
+def _beams(rows: np.ndarray, theta: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    """Per-path beams a(phi_j)^H diag(theta) a_l, shape (grid, paths).
+
+    Scaling the (M, paths) arrival stack before the product costs M * paths
+    multiplies instead of grid * M, and leaves a narrower matrix product.
+    """
+    return rows @ (theta[:, None] * stats.ris_arrival)
+
+
+def _scaled_pattern(beam_power: np.ndarray, chi: np.ndarray, scale: float,
+                    wnorm2: float) -> np.ndarray:
+    """Pattern scale * |beams|^2 @ chi / ||W||^2 from the per-path beam powers."""
+    return scale * (beam_power @ chi) / wnorm2
+
+
 def _pattern_unchecked(theta: np.ndarray, precoder, stats: ChannelStats,
                        grid: AngularGrid, element_spacing: float) -> np.ndarray:
     """Pattern quadratic form without the unit-modulus check; the synthesis
     gradients are derived for free complex theta, so their finite-difference
     validation needs this unconstrained extension."""
-    m = stats.num_ris_elements
-    rows = grid_steering_rows(grid, element_spacing)
-    beams = (rows * theta[None, :]) @ stats.ris_arrival
-    chi = path_excitations(stats, precoder)
-    return (m * m * stats.num_bs_antennas) * (np.abs(beams) ** 2 @ chi)
+    beams = _beams(grid_steering_rows(grid, element_spacing), theta, stats)
+    return _scaled_pattern(np.abs(beams) ** 2, path_excitations(stats, precoder),
+                           _pattern_scale(stats), 1.0)
 
 
 def average_power_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid,

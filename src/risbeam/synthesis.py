@@ -20,13 +20,22 @@ from .channel import ChannelStats
 from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
                        random_unit_modulus, rcg_minimize)
 from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder,
-                      compute_weights, grid_steering_rows, normalized_pattern,
+                      _beams, _pattern_scale, _scaled_pattern, compute_weights,
+                      grid_steering_rows, normalized_pattern, path_excitations,
                       pattern_cost, region_masks, target_on_grid)
 
 
-def _pattern_scale(stats: ChannelStats) -> float:
-    m = stats.num_ris_elements
-    return float(m * m * stats.num_bs_antennas)
+def _precoder_gradient(w: np.ndarray, beam_power: np.ndarray, stats: ChannelStats,
+                       f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Precoder gradient from the per-path beam powers |beams|^2 at fixed phases."""
+    wnorm2 = float(np.vdot(w, w).real)
+    scale = _pattern_scale(stats)
+    ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale, wnorm2)
+    radial = (2.0 / wnorm2) * float(np.sum(weights * ybar * (f - ybar))) * w
+    d = beam_power.T @ (weights * (ybar - f))
+    bw = stats.bs_departure.conj().T @ w
+    routed = (2.0 * scale / wnorm2) * (stats.bs_departure @ ((stats.path_powers * d)[:, None] * bw))
+    return radial + routed
 
 
 def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
@@ -39,48 +48,42 @@ def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.nd
     steering stack.
     """
     w = _as_precoder(precoder)
-    theta = np.asarray(theta, dtype=complex)
-    f = np.asarray(target_values, dtype=float)
-    rows = grid_steering_rows(grid, element_spacing)
-    beams = (rows * theta[None, :]) @ stats.ris_arrival
-    bw = stats.bs_departure.conj().T @ w
-    wnorm2 = float(np.vdot(w, w).real)
-    if wnorm2 == 0.0:
+    if float(np.vdot(w, w).real) == 0.0:
         raise ValueError("precoder must be nonzero")
-    scale = _pattern_scale(stats)
-    ybar = scale * (np.abs(beams) ** 2 @ (stats.path_powers * np.sum(np.abs(bw) ** 2, axis=1))) / wnorm2
-    radial = (2.0 / wnorm2) * float(np.sum(weights * ybar * (f - ybar))) * w
-    per_path = np.abs(beams) ** 2
-    d = per_path.T @ (weights * (ybar - f))
-    routed = (2.0 * scale / wnorm2) * (stats.bs_departure @ ((stats.path_powers * d)[:, None] * bw))
-    return radial + routed
+    theta = np.asarray(theta, dtype=complex)
+    beams = _beams(grid_steering_rows(grid, element_spacing), theta, stats)
+    return _precoder_gradient(w, np.abs(beams) ** 2, stats,
+                              np.asarray(target_values, dtype=float), weights)
 
 
 def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarray,
                    weights: np.ndarray, grid: AngularGrid,
-                   element_spacing: float = 0.5) -> np.ndarray:
+                   element_spacing: float = 0.5, *,
+                   beams: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-coordinate gradient of the fixed-weight cost in the phases.
 
     Equals the diagonal of the unconstrained full-matrix gradient of the
     pattern quadratic form, which is what makes optimizing only the diagonal
-    phase matrix legitimate.
+    phase matrix legitimate. A caller that already holds the per-path beams
+    at ``theta`` passes them as ``beams`` so they are not built again.
     """
     theta = np.asarray(theta, dtype=complex)
     w = _as_precoder(precoder)
     f = np.asarray(target_values, dtype=float)
-    rows = grid_steering_rows(grid, element_spacing)
-    a = stats.ris_arrival
-    beams = (rows * theta[None, :]) @ a
-    bw = stats.bs_departure.conj().T @ w
-    chi = stats.path_powers * np.sum(np.abs(bw) ** 2, axis=1)
     wnorm2 = float(np.vdot(w, w).real)
     if wnorm2 == 0.0:
         raise ValueError("precoder must be nonzero")
+    rows = grid_steering_rows(grid, element_spacing)
+    if beams is None:
+        beams = _beams(rows, theta, stats)
+    chi = path_excitations(stats, w)
     scale = _pattern_scale(stats)
-    ybar = scale * (np.abs(beams) ** 2 @ chi) / wnorm2
-    u = weights * (ybar - f)
-    routed = rows.conj().T @ ((u[:, None] * beams) * chi[None, :])
-    return (2.0 * scale / wnorm2) * np.sum(routed * a.conj(), axis=1)
+    ybar = _scaled_pattern(np.abs(beams) ** 2, chi, scale, wnorm2)
+    residual = (weights * (ybar - f))[:, None] * beams * chi[None, :]
+    # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
+    # transposed view avoids copying the conjugated (grid, M) steering stack
+    routed = rows.T @ residual.conj()
+    return (2.0 * scale / wnorm2) * np.sum(routed * stats.ris_arrival, axis=1).conj()
 
 
 def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPattern,
@@ -99,29 +102,21 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
         raise ValueError("starting precoder must be nonzero")
     f = target_on_grid(target, grid)
     angles = grid.angles
-    rows = grid_steering_rows(grid, element_spacing)
-    beams_abs2 = np.abs((rows * theta[None, :]) @ stats.ris_arrival) ** 2
-    b = stats.bs_departure
-    powers = stats.path_powers
+    beam_power = np.abs(_beams(grid_steering_rows(grid, element_spacing), theta, stats)) ** 2
     scale = _pattern_scale(stats)
 
-    def ybar_of(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        bw = b.conj().T @ w
-        chi = powers * np.sum(np.abs(bw) ** 2, axis=1)
-        wnorm2 = float(np.vdot(w, w).real)
-        return scale * (beams_abs2 @ chi) / wnorm2, bw, wnorm2
+    def weighted_fit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale,
+                               float(np.vdot(w, w).real))
+        return ybar, compute_weights(ybar, f, target, weight_config, angles)
 
     def cost(w: np.ndarray) -> float:
-        ybar, _, _ = ybar_of(w)
-        wts = compute_weights(ybar, f, target, weight_config, angles)
+        ybar, wts = weighted_fit(w)
         return float(np.sum(wts * (f - ybar) ** 2))
 
     def grad(w: np.ndarray) -> np.ndarray:
-        ybar, bw, wnorm2 = ybar_of(w)
-        wts = compute_weights(ybar, f, target, weight_config, angles)
-        radial = (2.0 / wnorm2) * float(np.sum(wts * ybar * (f - ybar))) * w
-        d = beams_abs2.T @ (wts * (ybar - f))
-        return radial + (2.0 * scale / wnorm2) * (b @ ((powers * d)[:, None] * bw))
+        _, wts = weighted_fit(w)
+        return _precoder_gradient(w, beam_power, stats, f, wts)
 
     result = euclidean_cg_minimize(cost, grad, w0, armijo, grad_tol, cost_tol, max_iters)
     result.point = result.point / np.linalg.norm(result.point)
@@ -193,6 +188,8 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         raise ValueError("need at least one start")
     f = target_on_grid(target, grid)
     n_bs = stats.num_bs_antennas
+    rows = grid_steering_rows(grid, element_spacing)
+    scale = _pattern_scale(stats)
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best: SynthesisResult | None = None
@@ -217,10 +214,14 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
                 return pattern_cost(th, _w, f, target, weight_config, stats, grid,
                                     element_spacing=element_spacing)
 
-            def grad_theta(th: np.ndarray, _w=w) -> np.ndarray:
-                ybar = normalized_pattern(th, _w, stats, grid, element_spacing)
+            chi, wnorm2 = path_excitations(stats, w), float(np.vdot(w, w).real)
+
+            def grad_theta(th: np.ndarray, _w=w, _chi=chi, _wnorm2=wnorm2) -> np.ndarray:
+                beams = _beams(rows, th, stats)
+                ybar = _scaled_pattern(np.abs(beams) ** 2, _chi, scale, _wnorm2)
                 wts = compute_weights(ybar, f, target, weight_config, grid.angles)
-                return phase_gradient(th, _w, stats, f, wts, grid, element_spacing)
+                return phase_gradient(th, _w, stats, f, wts, grid, element_spacing,
+                                      beams=beams)
 
             t_step = rcg_minimize(cost_theta, grad_theta, theta, armijo,
                                   inner_grad_tol, inner_cost_tol, inner_max_iters)

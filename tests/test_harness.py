@@ -1,12 +1,14 @@
 import json
 import math
+import time
+import types
 
 import numpy as np
 import pytest
 
 import risbeam.synthesis
 from risbeam import cli, harness
-from risbeam.scenario import ScenarioConfig
+from risbeam.scenario import ScenarioConfig, scenario_rng_children
 
 TINY = dict(
     ris_elements=24, bs_antennas=8, ue_antennas=2, streams=2,
@@ -143,6 +145,41 @@ class TestRunSynthesize:
         assert "pattern_stats.csv" in report["outputs"]
         lines = (tmp_path / "pattern_stats.csv").read_text().strip().splitlines()
         assert len(lines) == config.oversampling * config.ris_elements + 1
+
+    def test_batch_rows_draw_fresh_channels(self, monkeypatch):
+        # row 0 of the batch must not redraw the design channel
+        config = _tiny_config(batch_channels=2)
+        drawn = []
+        true_sample = harness.sample_paths
+
+        def recording_sample(cfg, rng):
+            drawn.append(true_sample(cfg, rng))
+            return drawn[-1]
+
+        def no_synthesis(target, stats, *args, **kwargs):
+            return types.SimpleNamespace(achieved_pattern=np.zeros(3))
+
+        monkeypatch.setattr(harness, "sample_paths", recording_sample)
+        monkeypatch.setattr(harness.synthesis, "synthesize", no_synthesis)
+        harness._batch_patterns(config)
+        design_seed = scenario_rng_children(config, 2)[0]
+        design = true_sample(config.bs_ris_channel(), np.random.default_rng(design_seed))
+        assert len(drawn) == 2
+        for paths in drawn:
+            assert not np.allclose(paths.gains, design.gains)
+
+
+class TestSubcarrierRate:
+    def test_rejects_non_positive_definite_gram(self):
+        # a negative SNR scale turns I + s H W W^H H^H indefinite
+        with pytest.raises(ValueError, match="positive-definite"):
+            harness._subcarrier_rate(np.eye(1), np.eye(1), -2.0)
+
+    def test_matches_log_det(self):
+        h = np.array([[1.0, 0.5j], [0.2, 1.0]])
+        gram = np.eye(2) + 3.0 * h @ h.conj().T
+        expected = math.log2(np.linalg.det(gram).real)
+        assert harness._subcarrier_rate(h, np.eye(2), 3.0) == pytest.approx(expected)
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +367,22 @@ class TestCli:
                          str(tmp_path / "o")])
         assert code == 2
         assert "scenario.subcarriers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, path", [
+        ({"coverage_deg": [150, 200]}, "coverage_deg"),
+        ({"rolloff_weight": 0.0}, "rolloff_weight"),
+    ])
+    def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code = cli.main(["synthesize", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err.split(": ")[1]
+        assert not (tmp_path / "o").exists()
 
     def test_preset_flows_into_config(self, tmp_path):
         # ofdma-eval ignores users/realizations, so use gradcheck for speed:

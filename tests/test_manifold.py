@@ -192,6 +192,33 @@ class TestRcg:
         assert res.converged
         assert res.final_cost < 1e-8
 
+    def test_warm_started_searches(self, monkeypatch):
+        # a steep cost accepts steps far below q, so later searches start
+        # from the previous accepted step instead of halving down from q
+        import risbeam.manifold as manifold
+
+        searches = []
+        true_search = manifold.armijo_search
+
+        def recording_search(cost, base, direction, grad, params, **kwargs):
+            res = true_search(cost, base, direction, grad, params, **kwargs)
+            searches.append((params.initial_step, res.step))
+            return res
+
+        monkeypatch.setattr(manifold, "armijo_search", recording_search)
+        rng = _rng(18)
+        target = random_unit_modulus(12, rng)
+        cost, grad = _quadratic(target)
+        q = ArmijoParams().initial_step
+        res = rcg_minimize(lambda x: 1e3 * cost(x), lambda x: 1e3 * grad(x),
+                           random_unit_modulus(12, rng), max_iters=40)
+        assert len(searches) == res.iterations > 1
+        assert searches[0][0] == q
+        for (_, prev_step), (start, _) in zip(searches, searches[1:]):
+            assert start <= min(q, 4.0 * prev_step)
+        assert any(start < q for start, _ in searches[1:])
+        assert np.all(np.diff(res.cost_trace) <= 0.0)
+
     def test_off_manifold_start_rejected(self):
         cost, grad = _quadratic(_point(3))
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
                              average_power_pattern, compute_weights,
                              normalized_pattern, pattern_cost, pattern_to_csv,
                              region_masks, target_on_grid, target_value)
+from risbeam.validation import _full_matrix_pattern
 
 
 def _target():
@@ -227,6 +228,15 @@ class TestAveragePowerPattern:
 
 
 class TestNormalizedPattern:
+    @pytest.mark.parametrize("m", [4, 32, 100])
+    def test_matches_dense_full_matrix_form(self, m):
+        # the per-path beam kernel against the explicit dense quadratic form
+        # rows Theta A (I o P B^H W W^H B) A^H Theta^H rows^H with Theta = diag(theta)
+        stats, theta, w, grid, _ = _instance(seed=m, m=m, n_bs=4, paths=3)
+        dense, *_ = _full_matrix_pattern(np.diag(theta), w, stats, grid, 0.5)
+        y = normalized_pattern(theta, w, stats, grid)
+        assert np.max(np.abs(y - dense)) <= 1e-12 * np.max(np.abs(dense))
+
     def test_scale_invariance(self):
         stats, theta, w, grid, _ = _instance(seed=11)
         y1 = normalized_pattern(theta, w, stats, grid)

@@ -149,6 +149,44 @@ class TestSynthesize:
         np.testing.assert_array_equal(res.precoder, again.precoder)
         np.testing.assert_array_equal(res.outer_cost_trace, again.outer_cost_trace)
 
+    def test_cost_evaluations_per_iteration(self, monkeypatch):
+        # warm-started line searches: at most 4 cost evaluations per CG
+        # iteration in both solvers (halving from q every time took 11-17)
+        import risbeam.synthesis as synthesis
+
+        counts = {}
+
+        def counting(name, solver):
+            def run(cost, grad, x0, *args, **kwargs):
+                tally = counts.setdefault(name, {"evals": 0, "iterations": 0})
+
+                def counted(x):
+                    tally["evals"] += 1
+                    return cost(x)
+
+                res = solver(counted, grad, x0, *args, **kwargs)
+                tally["iterations"] += res.iterations
+                return res
+            return run
+
+        monkeypatch.setattr(synthesis, "rcg_minimize",
+                            counting("theta", synthesis.rcg_minimize))
+        monkeypatch.setattr(synthesis, "euclidean_cg_minimize",
+                            counting("precoder", synthesis.euclidean_cg_minimize))
+        rng = np.random.default_rng(0)
+        paths = sample_paths(ChannelConfig(num_paths=3, k_factor_db=-10 * math.log10(2),
+                                           delay_spread_taps=4), rng)
+        stats = channel_stats(paths, ArrayGeometry(16), ArrayGeometry(8))
+        target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                            16 * np.pi / np.deg2rad(50))
+        synthesize(target, stats, num_streams=2, seed=0, num_starts=1,
+                   inner_max_iters=40, outer_max_iters=2, inner_cost_tol=0.0,
+                   inner_grad_tol=0.0, outer_tol=0.0)
+        assert set(counts) == {"theta", "precoder"}
+        for tally in counts.values():
+            assert tally["iterations"] > 0
+            assert tally["evals"] <= 4 * tally["iterations"]
+
     def test_single_path_beam_peaks_at_center(self):
         # with one feed path and one stream the optimum is conjugate beam
         # steering; a half-power-width flat top must land its peak on the
