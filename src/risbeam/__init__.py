@@ -31,7 +31,7 @@ from .analysis import (CoverageStats, LinkBudget, OfdmaAllocation,
                        cp_adjusted_rate, db_to_linear, dbm_to_watts,
                        equivalent_channel, idealized_ofdma_channel_gains,
                        idealized_received_power_mc, mrt_precoder, ofdma_rate,
-                       power_scaling_probe)
+                       power_scaling_probe, precoded_channels, subcarrier_rates)
 from .scenario import ScenarioConfig
 from .validation import (full_matrix_pattern_cost, full_matrix_phase_gradient,
                          gradient_check, relative_error,

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelConfig, channel_stats, sample_paths
-from .pattern import TargetPattern, region_masks
+from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_factors, channel_stats,
+                      freq_gain, sample_paths)
+from .pattern import TargetPattern, _beams, region_masks
 from .synthesis import synthesize
+
+# Users per block of `precoded_channels`: bounds its (block, M, paths)
+# steering stacks, which for a whole 1280-user realization would double
+# the peak memory of a broadcast run.
+USER_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,75 @@ def equivalent_channel(ris_user_channel: np.ndarray, theta: np.ndarray,
             + math.sqrt(budget.direct_gain) * direct_channel)
 
 
+def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
+                      feed: PathSet, users: PathSet, direct: PathSet,
+                      subcarriers: np.ndarray, num_subcarriers: int,
+                      ris: ArrayGeometry, bs: ArrayGeometry, ue: ArrayGeometry,
+                      budget: LinkBudget) -> Iterator[tuple[slice, np.ndarray]]:
+    """Precoded equivalent channels H_eq W of many users, one block of at
+    most ``USER_BLOCK`` users at a time: yields (users in the block, stack of
+    shape (len(thetas), block, N_UE, N_d)).
+
+    ``feed`` is one transmitter-to-surface draw; ``users`` and ``direct``
+    are batched PathSets with one surface-to-user and one direct draw per
+    user, and user u is served on subcarrier ``subcarriers[u]``. A ``None``
+    in ``thetas`` removes the surface and leaves the direct channel alone.
+    Matches ``equivalent_channel`` on the ``assemble_channel`` matrices
+    times W, without forming any of them:
+
+        H_k Theta G_k W = s * A_ue diag(d_user,k) [C^H Theta A] diag(d_feed,k) B^H W
+
+    where C^H Theta A (user paths x feed paths) is the surface's array
+    factor between the feed and user paths, the beam kernel of the average
+    pattern, and s = sqrt(M N_UE) sqrt(N_BS M).
+    """
+    if np.any(feed.tap_indices >= num_subcarriers):
+        raise ValueError("delay taps must be below the subcarrier count")
+    w = np.asarray(precoder, dtype=complex)
+    feed_stats = channel_stats(feed, ris, bs)
+    feed_bw = feed_stats.bs_departure.conj().T @ w
+    # feed path gains at every subcarrier, (N_c, L_feed)
+    feed_delta = freq_gain(feed.gains, feed.tap_indices,
+                           np.arange(num_subcarriers)[:, None], num_subcarriers)
+    a_ris = math.sqrt(budget.bs_ris_gain * budget.ris_user_gain
+                      * bs.num_elements * ris.num_elements)
+    a_direct = math.sqrt(budget.direct_gain)
+    subcarriers = np.asarray(subcarriers)
+    for start in range(0, subcarriers.shape[0], USER_BLOCK):
+        block = slice(start, start + USER_BLOCK)
+        k = subcarriers[block]
+        h = channel_factors(users.draws(block), ris, ue, k, num_subcarriers,
+                            rx_convention="departure_sin_neg",
+                            tx_convention="arrival_cos_pos")
+        d = channel_factors(direct.draws(block), bs, ue, k, num_subcarriers,
+                            rx_convention="departure_sin_neg",
+                            tx_convention="departure_sin_neg")
+        direct_hw = (a_direct * d.scale * d.arrival * (d.gains * d.tap_phases)[:, None, :]
+                     @ (d.departure.conj().swapaxes(-1, -2) @ w))
+        user_steer = a_ris * h.scale * h.arrival * (h.gains * h.tap_phases)[:, None, :]
+        user_rows = h.departure.conj().swapaxes(-1, -2)
+        fed_bw = feed_delta[k][:, :, None] * feed_bw
+        out = np.empty((len(thetas),) + direct_hw.shape, dtype=complex)
+        for i, theta in enumerate(thetas):
+            if theta is None:
+                out[i] = direct_hw
+            else:
+                array_factor = _beams(user_rows, theta, feed_stats)
+                out[i] = user_steer @ (array_factor @ fed_bw) + direct_hw
+        yield block, out
+
+
+def subcarrier_rates(precoded: np.ndarray, snr_scale: float) -> np.ndarray:
+    """Rate log2 det(I + snr_scale * HW (HW)^H) of each precoded channel HW
+    in a stack of shape (..., N_UE, N_d), in bits; one rate per matrix."""
+    hw = np.asarray(precoded)
+    gram = np.eye(hw.shape[-2]) + snr_scale * hw @ hw.conj().swapaxes(-1, -2)
+    sign, logdet = np.linalg.slogdet(gram)
+    if not np.all(sign.real > 0):
+        raise ValueError("rate computation hit a non positive-definite Gram matrix")
+    return logdet / math.log(2.0)
+
+
 def broadcast_rate(eq_channels: np.ndarray, precoders: np.ndarray,
                    budget: LinkBudget) -> float:
     """Multi-stream downlink rate in bits per OFDM symbol.
@@ -88,13 +163,7 @@ def broadcast_rate(eq_channels: np.ndarray, precoders: np.ndarray,
     total_power = float(np.sum(np.abs(w) ** 2))
     if abs(total_power - n_c) > 1e-9:
         raise ValueError("precoder stack must carry unit average power per subcarrier")
-    hw = h @ w
-    n_ue = h.shape[1]
-    gram = np.eye(n_ue) + budget.snr_scale * hw @ hw.conj().swapaxes(-1, -2)
-    sign, logdet = np.linalg.slogdet(gram)
-    if np.any(sign.real <= 0):
-        raise ValueError("rate computation hit a non positive-definite Gram matrix")
-    return float(np.sum(logdet) / math.log(2.0))
+    return float(np.sum(subcarrier_rates(h @ w, budget.snr_scale)))
 
 
 def mrt_precoder(cascaded: np.ndarray, direct: np.ndarray, budget: LinkBudget) -> np.ndarray:

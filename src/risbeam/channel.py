@@ -67,14 +67,20 @@ def steering_vector(geometry: ArrayGeometry, angle: float,
 
 def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
                     convention: SteeringConvention) -> np.ndarray:
-    """Stack steering vectors for several angles as columns, shape (N, len(angles))."""
+    """Stack steering vectors for several angles as columns, shape (N, len(angles)).
+
+    Angles of shape (..., L) give one such stack per leading index,
+    shape (..., N, L).
+    """
     angles = np.asarray(angles, dtype=float)
     if not np.all(np.isfinite(angles)):
         raise ValueError("steering angles must be finite")
     sign, trig = _CONVENTIONS[convention]
     n = geometry.num_elements
     ramp = sign * 2.0 * np.pi * geometry.element_spacing_over_wavelength * trig(angles)
-    return np.exp(1j * np.outer(np.arange(n), ramp)) / np.sqrt(n)
+    out = np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :]))
+    out /= np.sqrt(n)
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -89,6 +95,10 @@ class PathSet:
 
     ``mean_powers`` holds the per-path average power E{|gain|^2}; the total
     channel power is normalized so the mean powers sum to one.
+
+    A batch of draws of one recipe carries a leading draw axis: gains,
+    angles and taps then have shape (draws, paths), and ``mean_powers``,
+    common to every draw, keeps shape (paths,).
     """
 
     gains: np.ndarray
@@ -102,12 +112,16 @@ class PathSet:
         for name in ("arrival_angles", "departure_angles", "mean_powers"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "tap_indices", _readonly(np.asarray(self.tap_indices, dtype=int)))
-        n = self.gains.shape[0]
+        if self.gains.ndim not in (1, 2):
+            raise ValueError("gains must have shape (paths,) or (draws, paths)")
+        n = self.gains.shape[-1]
         if n < 1:
             raise ValueError("a PathSet needs at least one path")
-        for name in ("arrival_angles", "departure_angles", "tap_indices", "mean_powers"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have the same length as gains")
+        for name in ("arrival_angles", "departure_angles", "tap_indices"):
+            if getattr(self, name).shape != self.gains.shape:
+                raise ValueError(f"{name} must have the same shape as gains")
+        if self.mean_powers.shape != (n,):
+            raise ValueError("mean_powers needs one entry per path")
         if np.any(self.mean_powers < 0):
             raise ValueError("mean path powers must be nonnegative")
         if abs(float(self.mean_powers.sum()) - 1.0) > 1e-12:
@@ -117,7 +131,16 @@ class PathSet:
 
     @property
     def num_paths(self) -> int:
-        return self.gains.shape[0]
+        return self.gains.shape[-1]
+
+    def draws(self, index) -> "PathSet":
+        """The draws selected by ``index`` (an integer, slice or index array)
+        of a batched PathSet."""
+        if self.gains.ndim != 2:
+            raise ValueError("only a batched PathSet has draws to select")
+        return PathSet(self.gains[index], self.arrival_angles[index],
+                       self.departure_angles[index], self.tap_indices[index],
+                       self.mean_powers)
 
 
 @dataclass(frozen=True)
@@ -176,8 +199,10 @@ def _nlos_profile(config: ChannelConfig, count: int) -> np.ndarray:
     return prof / prof.sum()
 
 
-def sample_paths(config: ChannelConfig, rng: int | np.random.Generator) -> PathSet:
-    """Draw one PathSet. Deterministic given (config, seed).
+def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
+                 draws: int | None = None) -> PathSet:
+    """Draw one PathSet, or ``draws`` independent ones as a batched PathSet.
+    Deterministic given (config, seed, draws).
 
     The random stream is consumed in a fixed, documented order so results
     reproduce across platforms:
@@ -188,8 +213,15 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator) -> PathS
        overwrite where configured)
     4. departure angles (same scheme)
     5. delay taps (uniform integers over {0, ..., delay_spread_taps})
+
+    With ``draws`` set, each step draws for every draw at once (draw-major
+    order), so the stream differs from ``draws`` single calls; ``draws=1``
+    reproduces one unbatched call.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if draws is not None and (int(draws) != draws or draws < 0):
+        raise ValueError("draws must be a nonnegative integer")
+    lead = () if draws is None else (int(draws),)
     q = config.num_paths
 
     if config.k_factor_db is None:
@@ -197,9 +229,8 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator) -> PathS
         powers = _nlos_profile(config, q).copy()
         # force the exact unit sum the rest of the model relies on
         powers[-1] = 1.0 - powers[:-1].sum()
-        gains = np.empty(q, dtype=complex)
-        noise = gen.standard_normal((q, 2))
-        gains[:] = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(powers / 2.0)
+        noise = gen.standard_normal(lead + (q, 2))
+        gains = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers / 2.0)
     else:
         k = np.inf if math.isinf(config.k_factor_db) else 10.0 ** (config.k_factor_db / 10.0)
         los_power = 1.0 if math.isinf(k) else k / (k + 1.0)
@@ -210,27 +241,27 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator) -> PathS
             powers[-1] = 1.0 - powers[:-1].sum()
         else:
             powers[0] = 1.0
-        gains = np.empty(q, dtype=complex)
-        gains[0] = np.sqrt(powers[0]) * np.exp(2j * np.pi * gen.uniform())
+        gains = np.empty(lead + (q,), dtype=complex)
+        gains[..., 0] = np.sqrt(powers[0]) * np.exp(2j * np.pi * gen.uniform(size=lead or None))
         if q > 1:
-            noise = gen.standard_normal((q - 1, 2))
-            gains[1:] = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(powers[1:] / 2.0)
+            noise = gen.standard_normal(lead + (q - 1, 2))
+            gains[..., 1:] = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers[1:] / 2.0)
 
-    arrivals = gen.uniform(0.0, np.pi, size=q)
-    departures = gen.uniform(0.0, np.pi, size=q)
+    arrivals = gen.uniform(0.0, np.pi, size=lead + (q,))
+    departures = gen.uniform(0.0, np.pi, size=lead + (q,))
     if not isinstance(config.angle_distribution, str):
         fixed_arr, fixed_dep = config.angle_distribution
-        arrivals = np.asarray(fixed_arr, dtype=float).copy()
-        departures = np.asarray(fixed_dep, dtype=float).copy()
-        if arrivals.shape != (q,) or departures.shape != (q,):
+        if np.shape(fixed_arr) != (q,) or np.shape(fixed_dep) != (q,):
             raise ValueError("fixed angle lists must match num_paths")
+        arrivals = np.broadcast_to(np.asarray(fixed_arr, dtype=float), lead + (q,)).copy()
+        departures = np.broadcast_to(np.asarray(fixed_dep, dtype=float), lead + (q,)).copy()
     if los_power is not None:
         if config.los_arrival is not None:
-            arrivals[0] = config.los_arrival
+            arrivals[..., 0] = config.los_arrival
         if config.los_departure is not None:
-            departures[0] = config.los_departure
+            departures[..., 0] = config.los_departure
 
-    taps = gen.integers(0, config.delay_spread_taps + 1, size=q)
+    taps = gen.integers(0, config.delay_spread_taps + 1, size=lead + (q,))
     return PathSet(gains, arrivals, departures, taps, powers)
 
 
@@ -249,7 +280,11 @@ def freq_gain(path_gain, tap_index, subcarrier, num_subcarriers):
 
 
 class ChannelFactors(NamedTuple):
-    """Factored frequency response: scale * arrival @ diag(tap_phases) @ diag(gains) @ departure^H."""
+    """Factored frequency response: scale * arrival @ diag(tap_phases) @ diag(gains) @ departure^H.
+
+    For a batched PathSet every field but ``scale`` carries the leading
+    draw axis.
+    """
 
     arrival: np.ndarray
     tap_phases: np.ndarray
@@ -262,11 +297,15 @@ def channel_factors(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: Arr
                     subcarrier: int, num_subcarriers: int,
                     rx_convention: SteeringConvention = "arrival_cos_neg",
                     tx_convention: SteeringConvention = "departure_sin_neg") -> ChannelFactors:
+    """Factors of ``assemble_channel``. ``subcarrier`` may be an array that
+    broadcasts against the draw axis: one subcarrier per draw of a batched
+    PathSet, or a table of subcarriers for one PathSet."""
     if np.any(paths.tap_indices >= num_subcarriers):
         raise ValueError("delay taps must be below the subcarrier count")
     arrival = steering_matrix(rx_geometry, paths.arrival_angles, rx_convention)
     departure = steering_matrix(tx_geometry, paths.departure_angles, tx_convention)
-    tap_phases = np.exp(-2j * np.pi * subcarrier * paths.tap_indices / num_subcarriers)
+    k = np.asarray(subcarrier)[..., None]
+    tap_phases = np.exp(-2j * np.pi * k * paths.tap_indices / num_subcarriers)
     scale = math.sqrt(tx_geometry.num_elements * rx_geometry.num_elements)
     return ChannelFactors(arrival, tap_phases, paths.gains.copy(), departure, scale)
 
@@ -275,7 +314,8 @@ def assemble_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: Ar
                      subcarrier: int, num_subcarriers: int,
                      rx_convention: SteeringConvention = "arrival_cos_neg",
                      tx_convention: SteeringConvention = "departure_sin_neg") -> np.ndarray:
-    """Frequency-domain channel matrix at one subcarrier, shape (N_rx, N_tx).
+    """Frequency-domain channel matrix at one subcarrier, shape (N_rx, N_tx),
+    or (draws, N_rx, N_tx) for a batched PathSet.
 
     Equals sqrt(N_tx*N_rx) * sum over paths of the frequency gain times the
     outer product of receive and transmit steering vectors.
@@ -283,7 +323,7 @@ def assemble_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: Ar
     f = channel_factors(paths, tx_geometry, rx_geometry, subcarrier, num_subcarriers,
                         rx_convention, tx_convention)
     delta = f.gains * f.tap_phases
-    return f.scale * (f.arrival * delta) @ f.departure.conj().T
+    return f.scale * (f.arrival * delta[..., None, :]) @ f.departure.conj().swapaxes(-1, -2)
 
 
 def time_domain_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: ArrayGeometry,
@@ -296,6 +336,8 @@ def time_domain_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry:
     on its integer delay tap. The DFT of this array over the first axis
     reproduces ``assemble_channel`` at every subcarrier.
     """
+    if paths.gains.ndim != 1:
+        raise ValueError("time_domain_channel takes a single draw, not a batch")
     if np.any(paths.tap_indices >= num_subcarriers):
         raise ValueError("delay taps must be below the subcarrier count")
     arrival = steering_matrix(rx_geometry, paths.arrival_angles, rx_convention)

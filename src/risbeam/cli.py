@@ -77,6 +77,9 @@ _PRESET_COUNTS = {"paper": {"users": 1280, "realizations": 500},
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    overhead = getattr(args, "overhead_fraction", 0.0)
+    if not 0.0 <= overhead < 1.0:
+        raise ValueError(f"--overhead-fraction: must lie in [0, 1), got {overhead}")
     if args.config:
         with open(args.config) as fh:
             try:
@@ -94,14 +97,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "batch_channels", None) is not None:
         config = dataclasses.replace(config, batch_channels=args.batch_channels)
-    # the target and the weights check field combinations that the per-field
-    # coercion cannot see; build them now, not after minutes of synthesis
-    for fields, build in (("coverage_deg, rolloff, flat_power, sidelobe_ratio", config.target),
-                          ("flat_weight, sidelobe_weight, rolloff_weight", config.weight_config)):
-        try:
-            build()
-        except ValueError as exc:
-            raise ValueError(f"{fields}: {exc}") from None
+    # fail now, not after minutes of synthesis
+    config.validate()
     return config
 
 

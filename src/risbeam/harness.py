@@ -8,6 +8,7 @@ that determinism contract. Angles are degrees in files, radians internally.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import analysis, pattern, synthesis
 from .analysis import LinkBudget, CoverageStats
-from .channel import (ArrayGeometry, ChannelConfig, PathSet, assemble_channel,
-                      channel_stats, sample_paths)
+from .channel import ArrayGeometry, ChannelConfig, PathSet, channel_stats, sample_paths
 from .manifold import random_unit_modulus
 from .pattern import region_masks
 from .scenario import ScenarioConfig, scenario_rng_children
@@ -154,15 +154,6 @@ def _batch_patterns(config: ScenarioConfig) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _subcarrier_rate(eq_channel: np.ndarray, precoder: np.ndarray, snr_scale: float) -> float:
-    hw = eq_channel @ precoder
-    gram = np.eye(eq_channel.shape[0]) + snr_scale * hw @ hw.conj().T
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
-        raise ValueError("rate computation hit a non positive-definite Gram matrix")
-    return float(logdet / math.log(2.0))
-
-
 def run_broadcast_cdf(config: ScenarioConfig, out_dir,
                       overhead_fraction: float = 0.0) -> dict:
     """Empirical downlink-rate CDFs of the synthesized design against the
@@ -197,44 +188,37 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
         delay_spread_taps=config.cp_length,
         angle_distribution=(tuple(design_paths.arrival_angles),
                             tuple(design_paths.departure_angles)))
+    user_cfg = config.ris_user_channel()
+    direct_cfg = config.direct_channel()
+    subcarriers = np.arange(config.users) % n_c
 
     (trial_seed,) = scenario_rng_children(config, 3)[2:3]
     rng = np.random.default_rng(trial_seed)
-    rates = {"proposed": [], "random_phase": [], "no_ris": []}
-    for _ in range(config.realizations):
+    names = ("proposed", "random_phase", "no_ris")
+    rates = np.empty((len(names), config.realizations, config.users))
+    for r in range(config.realizations):
         feed = sample_paths(feed_cfg, rng)
         theta_rand = random_unit_modulus(m, rng)
-        for u in range(config.users):
-            k = u % n_c
-            angle = rng.uniform(lo, hi)
-            user_cfg = ChannelConfig(num_paths=config.ris_user_paths,
-                                     k_factor_db=config.ris_user_k_factor_db,
-                                     delay_spread_taps=config.cp_length,
-                                     los_departure=angle)
-            user = sample_paths(user_cfg, rng)
-            direct = sample_paths(config.direct_channel(), rng)
-            g_k = assemble_channel(feed, bs, ris, k, n_c)
-            h_k = assemble_channel(user, ris, ue, k, n_c,
-                                   rx_convention="departure_sin_neg",
-                                   tx_convention="arrival_cos_pos")
-            hd_k = assemble_channel(direct, bs, ue, k, n_c,
-                                    rx_convention="departure_sin_neg",
-                                    tx_convention="departure_sin_neg")
-            for name, th in (("proposed", theta), ("random_phase", theta_rand)):
-                heq = analysis.equivalent_channel(h_k, th, g_k, hd_k, budget)
-                rates[name].append(scale * _subcarrier_rate(heq, w, budget.snr_scale))
-            heq_d = math.sqrt(budget.direct_gain) * hd_k
-            rates["no_ris"].append(scale * _subcarrier_rate(heq_d, w, budget.snr_scale))
+        angles = rng.uniform(lo, hi, size=config.users)
+        users = sample_paths(user_cfg, rng, draws=config.users)
+        # each user's line-of-sight path leaves the surface towards the user
+        users = dataclasses.replace(users, departure_angles=np.column_stack(
+            (angles, users.departure_angles[:, 1:])))
+        direct = sample_paths(direct_cfg, rng, draws=config.users)
+        for block, hw in analysis.precoded_channels((theta, theta_rand, None), w, feed,
+                                                    users, direct, subcarriers, n_c,
+                                                    ris, bs, ue, budget):
+            rates[:, r, block] = scale * analysis.subcarrier_rates(hw, budget.snr_scale)
 
-    rows = []
-    medians = {}
-    for name in ("proposed", "random_phase", "no_ris"):
-        vals = np.sort(np.asarray(rates[name]))
-        medians[name] = float(np.median(vals)) if vals.size else None
-        n = vals.size
-        rows.extend((name, v, (i + 1) / n) for i, v in enumerate(vals))
+    sorted_rates = np.sort(rates.reshape(len(names), -1), axis=1)
+    n = sorted_rates.shape[1]
+    medians = {name: float(np.median(vals)) if n else None
+               for name, vals in zip(names, sorted_rates)}
+    # streamed: the paper preset writes about two million rows
     _write_csv(out / "cdf.csv",
-               ["strategy", "rate_bits_per_subcarrier_symbol", "cdf"], rows)
+               ["strategy", "rate_bits_per_subcarrier_symbol", "cdf"],
+               ((name, v, (i + 1) / n) for name, vals in zip(names, sorted_rates)
+                for i, v in enumerate(vals.tolist())))
     payload = {
         "median_rates": medians,
         "users": config.users,

@@ -214,6 +214,24 @@ class ScenarioConfig:
         return ChannelConfig(num_paths=self.direct_paths, k_factor_db=None,
                              delay_spread_taps=self.cp_length)
 
+    def validate(self) -> None:
+        """Reject field values and combinations that the per-field coercion
+        cannot see, naming the fields in the message; cheap enough to run at
+        load, before any synthesis."""
+        for name in ("users", "realizations", "batch_channels"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"scenario.{name}: must be nonnegative, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.cp_length < self.subcarriers:
+            raise ValueError(f"scenario.cp_length: must satisfy 0 <= cp_length < "
+                             f"subcarriers ({self.subcarriers}), got {self.cp_length}")
+        for fields, build in (("coverage_deg, rolloff, flat_power, sidelobe_ratio", self.target),
+                              ("flat_weight, sidelobe_weight, rolloff_weight", self.weight_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ValueError(f"{fields}: {exc}") from None
+
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from risbeam.analysis import (CoverageStats, LinkBudget, OfdmaAllocation,
+from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget, OfdmaAllocation,
                               analytic_ofdma_rate, avg_received_power,
                               broadcast_rate, cp_adjusted_rate, db_to_linear,
                               dbm_to_watts, equivalent_channel,
                               idealized_ofdma_channel_gains,
                               idealized_received_power_mc, mrt_precoder,
-                              ofdma_rate, power_scaling_probe)
-from risbeam.channel import (ArrayGeometry, ChannelConfig, assemble_channel,
+                              ofdma_rate, power_scaling_probe, precoded_channels,
+                              subcarrier_rates)
+from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet, assemble_channel,
                              sample_paths)
 from risbeam.manifold import random_unit_modulus
 
@@ -94,6 +95,78 @@ class TestBroadcastRate:
         stack = np.stack([w, w, w])
         assert broadcast_rate(h, stack, _budget()) == pytest.approx(
             broadcast_rate(h, w, _budget()), rel=1e-12)
+
+
+class TestSubcarrierRates:
+    def test_rejects_non_positive_definite_gram(self):
+        # a negative SNR scale turns I + s H W W^H H^H indefinite
+        with pytest.raises(ValueError, match="positive-definite"):
+            subcarrier_rates(np.eye(1)[None], -2.0)
+
+    def test_matches_log_det(self):
+        h = np.array([[1.0, 0.5j], [0.2, 1.0]])
+        stack = np.stack([h, 2.0 * h, np.zeros((2, 2))])
+        rates = subcarrier_rates(stack, 3.0)
+        assert rates.shape == (3,)
+        for hw, rate in zip(stack, rates):
+            gram = np.eye(2) + 3.0 * hw @ hw.conj().T
+            assert rate == pytest.approx(math.log2(np.linalg.det(gram).real), abs=1e-12)
+
+
+def _dense_precoded(thetas, w, feed, users, direct, subcarriers, n_c, ris, bs, ue, budget):
+    """H_eq W per user from the dense channel matrices (the reference)."""
+    out = np.empty((len(thetas), len(subcarriers), ue.num_elements, w.shape[1]), dtype=complex)
+    for u, k in enumerate(subcarriers):
+        g = assemble_channel(feed, bs, ris, k, n_c)
+        h = assemble_channel(users.draws(u), ris, ue, k, n_c,
+                             rx_convention="departure_sin_neg",
+                             tx_convention="arrival_cos_pos")
+        hd = assemble_channel(direct.draws(u), bs, ue, k, n_c,
+                              rx_convention="departure_sin_neg",
+                              tx_convention="departure_sin_neg")
+        for i, theta in enumerate(thetas):
+            heq = (math.sqrt(budget.direct_gain) * hd if theta is None
+                   else equivalent_channel(h, theta, g, hd, budget))
+            out[i, u] = heq @ w
+    return out
+
+
+class TestPrecodedChannels:
+    @pytest.mark.parametrize("n_users", [0, USER_BLOCK // 2, USER_BLOCK, 2 * USER_BLOCK + 3])
+    def test_factored_matches_dense(self, n_users):
+        rng = np.random.default_rng(40 + n_users)
+        n_c, m, n_bs, n_ue, n_d = 8, 12, 6, 3, 2
+        ris, bs, ue = ArrayGeometry(m), ArrayGeometry(n_bs), ArrayGeometry(n_ue)
+        feed = sample_paths(ChannelConfig(3, k_factor_db=0.0, delay_spread_taps=n_c - 1), rng)
+        users = sample_paths(ChannelConfig(4, k_factor_db=10.0, delay_spread_taps=n_c - 1),
+                             rng, draws=n_users)
+        direct = sample_paths(ChannelConfig(2, delay_spread_taps=n_c - 1), rng, draws=n_users)
+        subcarriers = rng.integers(0, n_c, size=n_users)
+        w = rng.standard_normal((n_bs, n_d)) + 1j * rng.standard_normal((n_bs, n_d))
+        w /= np.linalg.norm(w)
+        thetas = (random_unit_modulus(m, rng), random_unit_modulus(m, rng), None)
+        budget = LinkBudget(0.1, 1e-11, 1e-5, 2e-6, 3e-9)
+        args = (thetas, w, feed, users, direct, subcarriers, n_c, ris, bs, ue, budget)
+        dense = _dense_precoded(*args)
+        fact = np.empty_like(dense)
+        covered = []
+        for block, hw in precoded_channels(*args):
+            assert hw.shape == (3, len(range(n_users)[block]), n_ue, n_d)
+            assert 0 < hw.shape[1] <= USER_BLOCK
+            fact[:, block] = hw
+            covered.extend(range(n_users)[block])
+        assert covered == list(range(n_users))
+        for f, d in zip(fact, dense):
+            if n_users:
+                assert np.max(np.abs(f - d)) <= 1e-10 * np.max(np.abs(d))
+
+    def test_feed_taps_beyond_band_rejected(self):
+        feed = PathSet([1.0], [0.4], [1.2], [20], [1.0])
+        users = sample_paths(ChannelConfig(2), 1, draws=1)
+        with pytest.raises(ValueError, match="delay taps"):
+            next(precoded_channels((None,), np.eye(2), feed, users, users, [0], 4,
+                                   ArrayGeometry(4), ArrayGeometry(2), ArrayGeometry(2),
+                                   _budget()))
 
 
 class TestMrt:

@@ -81,6 +81,17 @@ class TestPathSet:
         with pytest.raises(ValueError):
             p.gains[0] = 0.0
 
+    def test_batched_shapes_checked(self):
+        ok = PathSet(np.ones((2, 1)), [[0.1], [0.2]], [[0.3], [0.4]], [[0], [1]], [1.0])
+        assert ok.num_paths == 1
+        assert ok.draws(slice(1, 2)).tap_indices.tolist() == [[1]]
+        with pytest.raises(ValueError):  # angles must follow the draw axis
+            PathSet(np.ones((2, 1)), [0.1], [[0.3], [0.4]], [[0], [1]], [1.0])
+        with pytest.raises(ValueError):  # mean powers are per path, not per draw
+            PathSet(np.ones((2, 1)), [[0.1], [0.2]], [[0.3], [0.4]], [[0], [1]], [[1.0], [1.0]])
+        with pytest.raises(ValueError):
+            PathSet([1.0], [0.1], [0.2], [0], [1.0]).draws(0)
+
 
 class TestSamplePaths:
     def test_los_only(self):
@@ -146,6 +157,74 @@ class TestSamplePaths:
         p = sample_paths(cfg, 6)
         assert np.all((p.tap_indices >= 0) & (p.tap_indices <= 3))
 
+    @pytest.mark.parametrize("cfg, seed, golden", [
+        (ChannelConfig(num_paths=3, k_factor_db=2.0, delay_spread_taps=5), 77, dict(
+            gains=[0.17528628479315292 - 0.7631589208785787j,
+                   -0.17752570322815756 + 0.8255150610729289j,
+                   -0.5002440194875393 + 0.2057880333150283j],
+            arrival_angles=[1.2257049752450697, 2.5173603284809483, 0.2852617651317667],
+            departure_angles=[1.1737756475107886, 2.4860142100872795, 2.383436699576175],
+            tap_indices=[4, 3, 5],
+            mean_powers=[0.613136820153143, 0.19343158992342846, 0.19343158992342857])),
+        (ChannelConfig(num_paths=2, delay_spread_taps=3), 5, dict(
+            gains=[-0.4009657126267237 - 0.6621794978140725j,
+                   -0.12418081104762427 + 0.21022261903276074j],
+            arrival_angles=[0.1694282984051494, 1.2043888594907253],
+            departure_angles=[1.2832564213357422, 0.14223621655377514],
+            tap_indices=[0, 0],
+            mean_powers=[0.5, 0.5])),
+    ])
+    def test_unbatched_stream_unchanged(self, cfg, seed, golden):
+        # the values a single draw has always returned for this seed
+        p = sample_paths(cfg, seed)
+        for name, values in golden.items():
+            if name == "gains":  # the line-of-sight phase goes through exp
+                np.testing.assert_array_max_ulp(p.gains.real, np.real(values), maxulp=2)
+                np.testing.assert_array_max_ulp(p.gains.imag, np.imag(values), maxulp=2)
+            else:
+                assert np.array_equal(getattr(p, name), values), name
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(num_paths=3, k_factor_db=2.0, delay_spread_taps=5),
+        ChannelConfig(num_paths=2, delay_spread_taps=3),
+        ChannelConfig(num_paths=3, k_factor_db=0.0, angle_distribution=((0.3, 0.5, 0.9),
+                                                                       (1.0, 1.5, 2.0)),
+                      los_departure=2.5),
+    ])
+    def test_single_batched_draw_matches_unbatched(self, cfg):
+        one = sample_paths(cfg, 77)
+        batch = sample_paths(cfg, 77, draws=1)
+        assert batch.gains.shape == (1, cfg.num_paths)
+        assert batch.num_paths == cfg.num_paths
+        for name in ("gains", "arrival_angles", "departure_angles", "tap_indices"):
+            assert np.array_equal(getattr(batch, name)[0], getattr(one, name)), name
+        assert np.array_equal(batch.mean_powers, one.mean_powers)
+        drawn = batch.draws(0)
+        assert np.array_equal(drawn.gains, one.gains)
+
+    def test_batched_rician_empirical_powers(self):
+        # same construction and 1% bound as test_rician_empirical_powers
+        cfg = ChannelConfig(num_paths=4, k_factor_db=10.0)
+        p = sample_paths(cfg, np.random.default_rng(123), draws=100_000)
+        emp = np.mean(np.abs(p.gains) ** 2, axis=0)
+        expect = np.array([10 / 11, 1 / 33, 1 / 33, 1 / 33])
+        assert np.all(np.abs(emp - expect) / expect < 0.01)
+        np.testing.assert_allclose(np.abs(p.gains[:, 0]), math.sqrt(10 / 11), rtol=1e-12)
+
+    def test_batched_fixed_angles_and_los_pinning(self):
+        cfg = ChannelConfig(num_paths=2, k_factor_db=0.0, angle_distribution=((0.3, 0.5),
+                                                                             (1.0, 1.5)),
+                            los_arrival=0.1)
+        p = sample_paths(cfg, 5, draws=3)
+        np.testing.assert_array_equal(p.arrival_angles, [[0.1, 0.5]] * 3)
+        np.testing.assert_array_equal(p.departure_angles, [[1.0, 1.5]] * 3)
+
+    def test_zero_draws(self):
+        p = sample_paths(ChannelConfig(num_paths=3), 1, draws=0)
+        assert p.gains.shape == (0, 3)
+        with pytest.raises(ValueError):
+            sample_paths(ChannelConfig(num_paths=3), 1, draws=-1)
+
 
 class TestFreqGain:
     def test_zero_delay_path(self):
@@ -197,6 +276,17 @@ class TestAssembleChannel:
         p = _random_paths(rng, 4, 7)
         f = channel_factors(p, ArrayGeometry(4), ArrayGeometry(4), 0, 16)
         np.testing.assert_allclose(f.tap_phases, 1.0, atol=1e-15)
+
+    def test_batched_draws_match_single_draws(self):
+        p = sample_paths(ChannelConfig(3, k_factor_db=3.0, delay_spread_taps=7), 2, draws=4)
+        tx, rx = ArrayGeometry(5), ArrayGeometry(3)
+        ks = np.array([0, 3, 7, 15])
+        batch = assemble_channel(p, tx, rx, ks, 16)
+        assert batch.shape == (4, 3, 5)
+        for i, k in enumerate(ks):
+            np.testing.assert_array_equal(batch[i], assemble_channel(p.draws(i), tx, rx, k, 16))
+        with pytest.raises(ValueError, match="single draw"):
+            time_domain_channel(p, tx, rx, 16)
 
     def test_tap_beyond_band_rejected(self):
         p = PathSet([1.0], [0.4], [1.2], [20], [1.0])

@@ -169,19 +169,6 @@ class TestRunSynthesize:
             assert not np.allclose(paths.gains, design.gains)
 
 
-class TestSubcarrierRate:
-    def test_rejects_non_positive_definite_gram(self):
-        # a negative SNR scale turns I + s H W W^H H^H indefinite
-        with pytest.raises(ValueError, match="positive-definite"):
-            harness._subcarrier_rate(np.eye(1), np.eye(1), -2.0)
-
-    def test_matches_log_det(self):
-        h = np.array([[1.0, 0.5j], [0.2, 1.0]])
-        gram = np.eye(2) + 3.0 * h @ h.conj().T
-        expected = math.log2(np.linalg.det(gram).real)
-        assert harness._subcarrier_rate(h, np.eye(2), 3.0) == pytest.approx(expected)
-
-
 @pytest.fixture(scope="module")
 def cdf_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cdf")
@@ -371,6 +358,12 @@ class TestCli:
     @pytest.mark.parametrize("data, path", [
         ({"coverage_deg": [150, 200]}, "coverage_deg"),
         ({"rolloff_weight": 0.0}, "rolloff_weight"),
+        ({"users": -3}, "scenario.users"),
+        ({"realizations": -1}, "scenario.realizations"),
+        ({"batch_channels": -1}, "scenario.batch_channels"),
+        ({"subcarriers": 4, "cp_length": 8}, "scenario.cp_length"),
+        ({"subcarriers": 8, "cp_length": 8}, "scenario.cp_length"),
+        ({"cp_length": -1}, "scenario.cp_length"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
@@ -382,6 +375,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err.split(": ")[1]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["broadcast-cdf", "ofdma-eval"])
+    @pytest.mark.parametrize("fraction", ["1", "-0.1", "nan"])
+    def test_invalid_overhead_fraction_fails_fast(self, tmp_path, capsys, command, fraction):
+        start = time.perf_counter()
+        code = cli.main([command, "--overhead-fraction", fraction, "--out",
+                         str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --overhead-fraction: ")
         assert not (tmp_path / "o").exists()
 
     def test_preset_flows_into_config(self, tmp_path):
