@@ -26,12 +26,12 @@ from .synthesis import (CoverageRegion, SynthesisResult, flat_top_ripple_db,
                         measure_minus3db_region, optimize_precoder,
                         phase_gradient, precoder_gradient,
                         predict_shifted_region, synthesize)
-from .analysis import (CoverageStats, LinkBudget, OfdmaAllocation,
-                       analytic_ofdma_rate, avg_received_power, broadcast_rate,
-                       cp_adjusted_rate, db_to_linear, dbm_to_watts,
-                       equivalent_channel, idealized_ofdma_channel_gains,
-                       idealized_received_power_mc, mrt_precoder, ofdma_rate,
-                       power_scaling_probe, precoded_channels, subcarrier_rates)
+from .analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
+                       avg_received_power, db_to_linear, dbm_to_watts,
+                       default_flat_power, equivalent_channel,
+                       idealized_ofdma_channel_gains, idealized_received_power_mc,
+                       power_scaling_probe, precoded_channels, rate_scale,
+                       subcarrier_rates)
 from .scenario import ScenarioConfig
 from .validation import (full_matrix_pattern_cost, full_matrix_phase_gradient,
                          gradient_check, relative_error,

@@ -1,8 +1,8 @@
 """Downlink rate evaluation and closed-form performance predictions.
 
-Covers the multi-stream broadcast rate (log-det over subcarriers), maximum
-ratio transmission for single-antenna users, the per-subcarrier OFDMA rate,
-and the closed-form average received power / OFDMA rate that hold when the
+Covers the multi-stream rate of a precoded channel (log-det per
+subcarrier), the factored precoded channels of the broadcast trials, and
+the closed-form average received power / OFDMA rate that hold when the
 reflected pattern is an ideal flat top: a user inside the covered sector
 then collects the line-of-sight share K/(K+1) of its channel power plus the
 fraction |coverage|/pi of the diffuse share, scaled by the flat-top gain.
@@ -58,9 +58,21 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def cp_adjusted_rate(rate: float, num_subcarriers: int, cp_length: int) -> float:
-    """Scale a per-symbol rate by the cyclic-prefix efficiency N_c/(N_c + L_cp)."""
-    return rate * num_subcarriers / (num_subcarriers + cp_length)
+def rate_scale(num_subcarriers: int, cp_length: int, overhead_fraction: float) -> float:
+    """Factor applied to every reported rate: the cyclic-prefix efficiency
+    N_c/(N_c + L_cp) times the share 1 - F left after estimation overhead."""
+    if not 0.0 <= overhead_fraction < 1.0:
+        raise ValueError(f"overhead fraction must lie in [0, 1), got {overhead_fraction}")
+    cp = num_subcarriers / (num_subcarriers + cp_length)
+    return cp * (1.0 - overhead_fraction)
+
+
+def default_flat_power(num_elements: int, beamwidth_rad: float) -> float:
+    """Flat-top gain that a design of ``num_elements`` elements can hold over
+    ``beamwidth_rad``: linear in the aperture, inverse in the beamwidth."""
+    if not beamwidth_rad > 0.0:
+        raise ValueError(f"covered beamwidth must be positive, got {beamwidth_rad}")
+    return num_elements * math.pi / beamwidth_rad
 
 
 def equivalent_channel(ris_user_channel: np.ndarray, theta: np.ndarray,
@@ -141,96 +153,6 @@ def subcarrier_rates(precoded: np.ndarray, snr_scale: float) -> np.ndarray:
     return logdet / math.log(2.0)
 
 
-def broadcast_rate(eq_channels: np.ndarray, precoders: np.ndarray,
-                   budget: LinkBudget) -> float:
-    """Multi-stream downlink rate in bits per OFDM symbol.
-
-    ``eq_channels`` has shape (N_c, N_UE, N_BS); ``precoders`` is either one
-    (N_BS, N_d) matrix shared by all subcarriers or a stack (N_c, N_BS, N_d)
-    whose squared Frobenius norms must sum to N_c.
-    """
-    h = np.asarray(eq_channels, dtype=complex)
-    if h.ndim != 3:
-        raise ValueError("eq_channels must have shape (N_c, N_UE, N_BS)")
-    n_c = h.shape[0]
-    w = np.asarray(precoders, dtype=complex)
-    if w.ndim == 2:
-        w = np.broadcast_to(w, (n_c,) + w.shape)
-    if w.ndim != 3 or w.shape[0] != n_c:
-        raise ValueError("precoders must be one matrix or a stack per subcarrier")
-    if not (np.all(np.isfinite(h.view(float))) and np.all(np.isfinite(w.view(float)))):
-        raise ValueError("channel and precoder entries must be finite")
-    total_power = float(np.sum(np.abs(w) ** 2))
-    if abs(total_power - n_c) > 1e-9:
-        raise ValueError("precoder stack must carry unit average power per subcarrier")
-    return float(np.sum(subcarrier_rates(h @ w, budget.snr_scale)))
-
-
-def mrt_precoder(cascaded: np.ndarray, direct: np.ndarray, budget: LinkBudget) -> np.ndarray:
-    """Unit-norm maximum ratio transmission beamformer for one user.
-
-    ``cascaded`` is the surface-assisted effective channel seen from the
-    transmitter (already including the phase shifts); ``direct`` the direct
-    channel. The fading weights come from the budget.
-    """
-    combined = (math.sqrt(budget.bs_ris_gain * budget.ris_user_gain) * np.asarray(cascaded, dtype=complex)
-                + math.sqrt(budget.direct_gain) * np.asarray(direct, dtype=complex))
-    norm = float(np.linalg.norm(combined))
-    if norm == 0.0:
-        raise ValueError("combined channel is zero; MRT undefined")
-    return combined / norm
-
-
-@dataclass(frozen=True)
-class OfdmaAllocation:
-    """Disjoint per-user subcarrier index sets."""
-
-    subcarrier_sets: tuple[tuple[int, ...], ...]
-    num_subcarriers: int
-
-    def __post_init__(self) -> None:
-        sets = tuple(tuple(int(k) for k in s) for s in self.subcarrier_sets)
-        object.__setattr__(self, "subcarrier_sets", sets)
-        seen: set[int] = set()
-        for s in sets:
-            for k in s:
-                if not 0 <= k < self.num_subcarriers:
-                    raise ValueError("subcarrier index out of range")
-                if k in seen:
-                    raise ValueError("subcarrier sets must be disjoint")
-                seen.add(k)
-
-    @property
-    def num_users(self) -> int:
-        return len(self.subcarrier_sets)
-
-
-def ofdma_rate(theta: np.ndarray, bs_ris_los: np.ndarray,
-               user_ris_channels: np.ndarray, user_direct_channels: np.ndarray,
-               allocation: OfdmaAllocation, budget: LinkBudget) -> float:
-    """Sum rate of single-antenna users on disjoint subcarriers, each served
-    by its per-subcarrier MRT beamformer (bits per OFDM symbol).
-
-    ``bs_ris_los`` has shape (N_c, M, N_BS); user channels are stacks
-    (U, N_c, M) and (U, N_c, N_BS) holding the column channel vectors.
-    """
-    theta = np.asarray(theta, dtype=complex)
-    g0 = np.asarray(bs_ris_los, dtype=complex)
-    hu = np.asarray(user_ris_channels, dtype=complex)
-    hd = np.asarray(user_direct_channels, dtype=complex)
-    if allocation.num_users != hu.shape[0]:
-        raise ValueError("allocation and user channel stack disagree on user count")
-    a1 = math.sqrt(budget.bs_ris_gain * budget.ris_user_gain)
-    a2 = math.sqrt(budget.direct_gain)
-    total = 0.0
-    for u, subs in enumerate(allocation.subcarrier_sets):
-        for k in subs:
-            row = a1 * (hu[u, k].conj() * theta) @ g0[k] + a2 * hd[u, k].conj()
-            snr = budget.snr_scale * float(np.sum(np.abs(row) ** 2))
-            total += math.log2(1.0 + snr)
-    return total
-
-
 @dataclass(frozen=True)
 class CoverageStats:
     """Inputs of the closed forms: Rice factor of the user link (linear, may
@@ -276,28 +198,27 @@ def analytic_ofdma_rate(stats: CoverageStats, budget: LinkBudget,
     return num_subcarriers * math.log2(1.0 + ris_term + direct_term)
 
 
-def _rician_draws(k_factor: float, num_paths: int, num_draws: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Batched path gains (draws, paths) and their mean powers (paths,).
+def _flat_top_user_draws(stats: CoverageStats, coverage: tuple[float, float],
+                         num_nlos_paths: int, num_subcarriers: int, draws: int,
+                         rng: np.random.Generator) -> tuple[PathSet, np.ndarray]:
+    """User-link draws under the ideal flat top and their reflected amplitudes.
 
-    Path 0 carries the line-of-sight share K/(K+1) with a deterministic
-    magnitude and uniform phase; the rest are i.i.d. circular Gaussian on
-    the residual. ``k_factor == 0`` degenerates to pure diffuse paths.
+    The link has a line-of-sight path when K > 0, whose departure is redrawn
+    inside the sector, and delays anywhere within the symbol. A path leaving
+    the surface inside the sector is reflected with amplitude
+    sqrt(flat_power), any other not at all.
     """
-    if k_factor == 0.0:
-        powers = np.full(num_paths, 1.0 / num_paths)
-        noise = rng.standard_normal((num_draws, num_paths, 2))
-        gains = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers / 2.0)
-        return gains, powers
-    los = 1.0 if math.isinf(k_factor) else k_factor / (k_factor + 1.0)
-    diffuse = (1.0 - los) / max(num_paths - 1, 1)
-    powers = np.concatenate(([los], np.full(num_paths - 1, diffuse)))
-    gains = np.empty((num_draws, num_paths), dtype=complex)
-    gains[:, 0] = math.sqrt(los) * np.exp(2j * np.pi * rng.uniform(size=num_draws))
-    if num_paths > 1:
-        noise = rng.standard_normal((num_draws, num_paths - 1, 2))
-        gains[:, 1:] = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(diffuse / 2.0)
-    return gains, powers
+    lo, hi = coverage
+    k = stats.k_factor_linear
+    link = ChannelConfig(num_nlos_paths + int(k > 0), 10.0 * math.log10(k) if k > 0 else None,
+                         delay_spread_taps=num_subcarriers - 1)
+    paths = sample_paths(link, rng, draws=draws)
+    depart = paths.departure_angles.copy()
+    if k > 0:
+        depart[:, 0] = rng.uniform(lo, hi, size=draws)
+    amp = paths.gains * np.sqrt(np.where((depart >= lo) & (depart <= hi),
+                                         stats.flat_power, 0.0))
+    return paths, amp
 
 
 def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, float],
@@ -318,9 +239,7 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
     line-of-sight feed and adds to the diffuse direct channel; the user's
     own line-of-sight departure is drawn inside the sector.
     """
-    lo, hi = coverage
-    k = stats.k_factor_linear
-    q_user = num_nlos_paths + (1 if k > 0 else 0)
+    direct_link = ChannelConfig(num_direct_paths, None, delay_spread_taps=num_subcarriers - 1)
     a1 = math.sqrt(bs_ris_user_gain)
     a2 = math.sqrt(direct_gain)
     ks = np.arange(num_subcarriers)
@@ -329,26 +248,22 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
     done = 0
     while done < num_realizations:
         r = min(chunk, num_realizations - done)
-        gains_u, _ = _rician_draws(k, q_user, r, rng)
-        depart = rng.uniform(0.0, np.pi, size=(r, q_user))
-        if k > 0:
-            depart[:, 0] = rng.uniform(lo, hi, size=r)
-        taps_u = rng.integers(0, num_subcarriers, size=(r, q_user))
-        amp = gains_u * np.sqrt(np.where((depart >= lo) & (depart <= hi),
-                                         stats.flat_power, 0.0))
-        ramp_u = np.exp(-2j * np.pi * taps_u[:, None, :] * ks[None, :, None] / num_subcarriers)
+        user, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
+                                         num_subcarriers, r, rng)
+        ramp_u = np.exp(-2j * np.pi * user.tap_indices[:, None, :] * ks[None, :, None]
+                        / num_subcarriers)
         cascade = np.einsum("rkq,rq->rk", ramp_u, amp)
 
         # transmit-side steering of the line-of-sight feed (unit norm)
         feed = np.exp(-1j * np.pi * np.outer(np.sin(rng.uniform(0.0, np.pi, size=r)), ant))
         feed /= math.sqrt(num_bs_antennas)
 
-        gains_d, _ = _rician_draws(0.0, num_direct_paths, r, rng)
-        dep_d = rng.uniform(0.0, np.pi, size=(r, num_direct_paths))
-        taps_d = rng.integers(0, num_subcarriers, size=(r, num_direct_paths))
-        bsteer = np.exp(-1j * np.pi * np.sin(dep_d)[:, :, None] * ant[None, None, :])
-        ramp_d = np.exp(-2j * np.pi * taps_d[:, None, :] * ks[None, :, None] / num_subcarriers)
-        delta_d = ramp_d * gains_d[:, None, :]
+        direct = sample_paths(direct_link, rng, draws=r)
+        bsteer = np.exp(-1j * np.pi * np.sin(direct.departure_angles)[:, :, None]
+                        * ant[None, None, :])
+        ramp_d = np.exp(-2j * np.pi * direct.tap_indices[:, None, :] * ks[None, :, None]
+                        / num_subcarriers)
+        delta_d = ramp_d * direct.gains[:, None, :]
         rows = (a1 * cascade[:, :, None] * feed.conj()[:, None, :]
                 + a2 * np.einsum("rkq,rqn->rkn", delta_d, bsteer.conj()))
         out[done:done + r] = np.sum(np.abs(rows) ** 2, axis=2)
@@ -368,20 +283,14 @@ def idealized_received_power_mc(stats: CoverageStats, budget: LinkBudget,
     subcarriers and channel draws; the user's line-of-sight departure is
     random inside the sector, diffuse departures uniform over [0, pi].
     """
-    lo, hi = coverage
-    k = stats.k_factor_linear
-    q = num_nlos_paths + (1 if k > 0 else 0)
-    gains, _ = _rician_draws(k, q, num_draws, rng)
-    depart = rng.uniform(0.0, np.pi, size=(num_draws, q))
-    if k > 0:
-        depart[:, 0] = rng.uniform(lo, hi, size=num_draws)
-    arrive = rng.uniform(0.0, np.pi, size=(num_draws, q))
-    taps = rng.integers(0, num_subcarriers, size=(num_draws, q))
-    amp = gains * np.sqrt(np.where((depart >= lo) & (depart <= hi), stats.flat_power, 0.0))
+    paths, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
+                                      num_subcarriers, num_draws, rng)
     ant = np.arange(num_ue_antennas)
     ks = np.arange(num_subcarriers)
-    ue_phase = np.exp(-1j * np.pi * np.sin(arrive)[:, None, :] * ant[None, :, None])
-    tap_phase = np.exp(-2j * np.pi * taps[:, None, :] * ks[None, :, None] / num_subcarriers)
+    ue_phase = np.exp(-1j * np.pi * np.sin(paths.arrival_angles)[:, None, :]
+                      * ant[None, :, None])
+    tap_phase = np.exp(-2j * np.pi * paths.tap_indices[:, None, :] * ks[None, :, None]
+                       / num_subcarriers)
     field = np.einsum("riq,rkq,rq->rik", ue_phase, tap_phase, amp)
     scale = budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
     return scale * float(np.mean(np.abs(field) ** 2)) + budget.noise_power_w
@@ -391,13 +300,12 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
                         channel_config: ChannelConfig, num_bs_antennas: int,
                         num_streams: int, center: float,
                         seeds: Iterable[int] = (0, 1, 2),
-                        flat_power_per_element: float | None = None,
                         **synth_kwargs) -> list[dict]:
     """Synthesize every (element count, beamwidth) cell and report the mean
     achieved flat-top power; the scaling trends live in the caller's hands.
 
-    ``flat_power_per_element`` overrides the default target level
-    M * pi / beamwidth; the per-cell channel is redrawn from each seed.
+    The target level is ``default_flat_power``; the per-cell channel is
+    redrawn from each seed.
     """
     rows: list[dict] = []
     bs_geom = ArrayGeometry(num_bs_antennas)
@@ -406,10 +314,7 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
             for seed in seeds:
                 paths = sample_paths(channel_config, int(seed))
                 stats = channel_stats(paths, ArrayGeometry(int(m)), bs_geom)
-                if flat_power_per_element is None:
-                    flat = m * np.pi / bw
-                else:
-                    flat = flat_power_per_element * m
+                flat = default_flat_power(m, bw)
                 target = TargetPattern.for_coverage(center - bw / 2.0, center + bw / 2.0,
                                                     flat_power=flat)
                 result = synthesize(target, stats, num_streams=num_streams,

@@ -42,7 +42,16 @@ class ArrayGeometry:
 
 def steering_vector(geometry: ArrayGeometry, angle: float,
                     convention: SteeringConvention) -> np.ndarray:
-    """Unit-norm array response vector of a plane wave at ``angle`` (radians).
+    """Unit-norm array response vector of a plane wave at ``angle`` (radians):
+    the single column of ``steering_matrix``."""
+    return steering_matrix(geometry, [angle], convention)[:, 0]
+
+
+def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
+                    convention: SteeringConvention) -> np.ndarray:
+    """Stack unit-norm steering vectors for several angles (radians) as
+    columns, shape (N, len(angles)); angles of shape (..., L) give one such
+    stack per leading index, shape (..., N, L).
 
     Entry m has phase ``sign * 2*pi*m*(spacing/wavelength) * trig(angle)``
     where sign/trig are fixed by the convention:
@@ -51,31 +60,15 @@ def steering_vector(geometry: ArrayGeometry, angle: float,
     * ``arrival_cos_pos``   -- +cos ramp (wave leaving the reflecting array)
     * ``departure_sin_neg`` -- -sin ramp (transmit/receive terminals)
 
-    All entries have magnitude 1/sqrt(num_elements) so the vector has unit
-    2-norm.
-    """
-    if not np.all(np.isfinite(angle)):
-        raise ValueError("steering angle must be finite")
-    try:
-        sign, trig = _CONVENTIONS[convention]
-    except KeyError:
-        raise ValueError(f"unknown steering convention: {convention!r}") from None
-    n = geometry.num_elements
-    ramp = sign * 2.0 * np.pi * geometry.element_spacing_over_wavelength * trig(angle)
-    return np.exp(1j * ramp * np.arange(n)) / np.sqrt(n)
-
-
-def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
-                    convention: SteeringConvention) -> np.ndarray:
-    """Stack steering vectors for several angles as columns, shape (N, len(angles)).
-
-    Angles of shape (..., L) give one such stack per leading index,
-    shape (..., N, L).
+    All entries have magnitude 1/sqrt(num_elements).
     """
     angles = np.asarray(angles, dtype=float)
     if not np.all(np.isfinite(angles)):
         raise ValueError("steering angles must be finite")
-    sign, trig = _CONVENTIONS[convention]
+    try:
+        sign, trig = _CONVENTIONS[convention]
+    except KeyError:
+        raise ValueError(f"unknown steering convention: {convention!r}") from None
     n = geometry.num_elements
     ramp = sign * 2.0 * np.pi * geometry.element_spacing_over_wavelength * trig(angles)
     out = np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :]))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import harness
-from .scenario import ScenarioConfig
+from .analysis import rate_scale
+from .scenario import PRESETS, ScenarioConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
         p.add_argument("--out", default="out", metavar="DIR",
                        help="output directory (default: ./out)")
-        p.add_argument("--preset", choices=("paper", "ci"), default="ci",
+        p.add_argument("--preset", choices=tuple(PRESETS), default="ci",
                        help="trial-count preset (default: ci)")
 
     p = sub.add_parser("synthesize", help="synthesize the flat-top design, "
@@ -72,33 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PRESET_COUNTS = {"paper": {"users": 1280, "realizations": 500},
-                  "ci": {"users": 128, "realizations": 100}}
-
-
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    overhead = getattr(args, "overhead_fraction", 0.0)
-    if not 0.0 <= overhead < 1.0:
-        raise ValueError(f"--overhead-fraction: must lie in [0, 1), got {overhead}")
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: "
-                                 f"invalid JSON ({exc.msg})") from None
-        # the preset supplies trial counts unless the file pins its own
-        for key, val in _PRESET_COUNTS[args.preset].items():
-            data.setdefault(key, val)
-        config = ScenarioConfig.from_dict(data)
-    else:
-        config = ScenarioConfig.preset(args.preset)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "batch_channels", None) is not None:
-        config = dataclasses.replace(config, batch_channels=args.batch_channels)
-    # fail now, not after minutes of synthesis
-    config.validate()
+    config = ScenarioConfig.load(args.config, args.preset)
+    overrides = {"seed": args.seed, "batch_channels": getattr(args, "batch_channels", None)}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items()
+                                            if v is not None})
+    try:
+        rate_scale(config.subcarriers, config.cp_length,
+                   getattr(args, "overhead_fraction", 0.0))
+    except ValueError as exc:
+        raise ValueError(f"--overhead-fraction: {exc}") from None
     return config
 
 

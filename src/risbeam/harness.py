@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pattern, synthesis
-from .analysis import LinkBudget, CoverageStats
 from .channel import ArrayGeometry, ChannelConfig, PathSet, channel_stats, sample_paths
 from .manifold import random_unit_modulus
 from .pattern import region_masks
-from .scenario import ScenarioConfig, scenario_rng_children
+from .scenario import ScenarioConfig, feed_channel, scenario_rng_children
 from .synthesis import CoverageRegion, measure_minus3db_region, predict_shifted_region
 from .validation import gradient_check
 
@@ -64,17 +63,18 @@ def _ensure_dir(out_dir) -> Path:
     return out
 
 
-def _design(config: ScenarioConfig):
-    """Draw the design channel and synthesize (theta, W) for the scenario."""
-    chan_seed, synth_seed = scenario_rng_children(config, 2)
+def _design(config: ScenarioConfig, seeds=None):
+    """Draw a design channel and synthesize (theta, W) for the scenario.
+
+    ``seeds`` is the (channel, synthesis) seed pair; by default the
+    scenario's children 0 and 1, which give the scenario's own design.
+    """
+    chan_seed, synth_seed = seeds or scenario_rng_children(config, 2)
     paths = sample_paths(config.bs_ris_channel(), np.random.default_rng(chan_seed))
     stats = channel_stats(paths, ArrayGeometry(config.ris_elements),
                           ArrayGeometry(config.bs_antennas))
     result = synthesis.synthesize(config.target(), stats, config.streams,
-                                  oversampling=config.oversampling,
-                                  weight_config=config.weight_config(),
-                                  seed=synth_seed,
-                                  **config.optimizer.synthesis_kwargs())
+                                  seed=synth_seed, **config.synthesis_kwargs())
     return paths, stats, result
 
 
@@ -140,18 +140,8 @@ def _batch_patterns(config: ScenarioConfig) -> np.ndarray:
     nor the synthesis starts use, so no row repeats the design itself.
     """
     children = scenario_rng_children(config, 4)[3].spawn(2 * config.batch_channels)
-    rows = []
-    for i in range(config.batch_channels):
-        paths = sample_paths(config.bs_ris_channel(), np.random.default_rng(children[2 * i]))
-        stats = channel_stats(paths, ArrayGeometry(config.ris_elements),
-                              ArrayGeometry(config.bs_antennas))
-        result = synthesis.synthesize(config.target(), stats, config.streams,
-                                      oversampling=config.oversampling,
-                                      weight_config=config.weight_config(),
-                                      seed=children[2 * i + 1],
-                                      **config.optimizer.synthesis_kwargs())
-        rows.append(result.achieved_pattern)
-    return np.asarray(rows)
+    return np.asarray([_design(config, children[2 * i:2 * i + 2])[2].achieved_pattern
+                       for i in range(config.batch_channels)])
 
 
 def run_broadcast_cdf(config: ScenarioConfig, out_dir,
@@ -168,26 +158,22 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
     realization while keeping that precoder.
     """
     t0 = time.perf_counter()
+    n_c = config.subcarriers
+    scale = analysis.rate_scale(n_c, config.cp_length, overhead_fraction)
     out = _ensure_dir(out_dir)
     design_paths, stats, design = _design(config)
     theta = design.theta
     w = design.precoder
     budget = config.budget()
     lo, hi = config.coverage_rad()
-    n_c = config.subcarriers
     m = config.ris_elements
     ue = ArrayGeometry(config.ue_antennas)
     ris = ArrayGeometry(m)
     bs = ArrayGeometry(config.bs_antennas)
-    cp = n_c / (n_c + config.cp_length)
-    scale = cp * (1.0 - overhead_fraction)
 
-    feed_cfg = ChannelConfig(
-        num_paths=design_paths.num_paths,
-        k_factor_db=config.bs_ris_channel().k_factor_db,
-        delay_spread_taps=config.cp_length,
-        angle_distribution=(tuple(design_paths.arrival_angles),
-                            tuple(design_paths.departure_angles)))
+    # fresh feed gains and delays along the design's fixed path angles
+    feed_cfg = dataclasses.replace(config.bs_ris_channel(), angle_distribution=(
+        tuple(design_paths.arrival_angles), tuple(design_paths.departure_angles)))
     user_cfg = config.ris_user_channel()
     direct_cfg = config.direct_channel()
     subcarriers = np.arange(config.users) % n_c
@@ -236,30 +222,24 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir,
     """Monte Carlo mean OFDMA rate under the ideal flat top next to its
     closed-form prediction, swept over the Rice factor and transmit power."""
     t0 = time.perf_counter()
+    n_c = config.subcarriers
+    scale = analysis.rate_scale(n_c, config.cp_length, overhead_fraction)
     out = _ensure_dir(out_dir)
     spec = config.ofdma
     budget0 = config.budget()
-    lo, hi = (math.radians(d) for d in spec.coverage_deg)
-    beamwidth = hi - lo
-    flat = spec.ris_elements * math.pi / beamwidth
-    n_c = config.subcarriers
-    cp = n_c / (n_c + config.cp_length)
-    scale = cp * (1.0 - overhead_fraction)
+    coverage = tuple(math.radians(d) for d in spec.coverage_deg)
 
     children = np.random.SeedSequence(config.seed).spawn(len(spec.k_sweep_db))
     rows = []
     worst = 0.0
     for child, k_db in zip(children, spec.k_sweep_db):
-        k_lin = 10.0 ** (k_db / 10.0)
-        stats = CoverageStats(k_lin, beamwidth, flat)
+        stats = spec.coverage_stats(k_db)
         gains = analysis.idealized_ofdma_channel_gains(
-            stats, (lo, hi), spec.nlos_paths, spec.direct_paths, n_c,
+            stats, coverage, spec.nlos_paths, spec.direct_paths, n_c,
             config.bs_antennas, budget0.bs_ris_gain * budget0.ris_user_gain,
             budget0.direct_gain, spec.realizations, np.random.default_rng(child))
         for p_dbm in spec.p_sweep_dbm:
-            budget = LinkBudget(analysis.dbm_to_watts(p_dbm), budget0.noise_power_w,
-                                budget0.bs_ris_gain, budget0.ris_user_gain,
-                                budget0.direct_gain)
+            budget = dataclasses.replace(budget0, tx_power_w=analysis.dbm_to_watts(p_dbm))
             mc = scale * float(np.mean(np.sum(np.log2(1.0 + budget.snr_scale * gains), axis=1)))
             closed = scale * analysis.analytic_ofdma_rate(stats, budget, n_c,
                                                           config.bs_antennas)
@@ -276,7 +256,8 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir,
             fh.write(f"K = {k_db:+.1f} dB, p = {p_dbm:.1f} dBm: {closed:.6g}\n")
     payload = {
         "worst_rel_err_pct": 100.0 * worst,
-        "flat_power": flat,
+        "flat_power": analysis.default_flat_power(spec.ris_elements,
+                                                  coverage[1] - coverage[0]),
         "realizations": spec.realizations,
         "overhead_fraction": overhead_fraction,
     }
@@ -339,22 +320,16 @@ def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None
     phi0 = math.radians(spec.incident_from_deg if from_deg is None else from_deg)
     phi1 = math.radians(spec.incident_to_deg if to_deg is None else to_deg)
     chan_seed, synth_seed = scenario_rng_children(config, 2)
-    rng = np.random.default_rng(chan_seed)
-    feed_departure = rng.uniform(0.0, math.pi)
-    m = spec.ris_elements
-    lo, hi = (math.radians(d) for d in spec.coverage_deg)
-    flat = m * math.pi / (hi - lo)
-    target = pattern.TargetPattern.for_coverage(lo, hi, flat_power=flat)
+    feed_departure = np.random.default_rng(chan_seed).uniform(0.0, math.pi)
 
     def stats_for(incident: float):
-        paths = _single_path(incident, feed_departure)
-        return channel_stats(paths, ArrayGeometry(m), ArrayGeometry(config.bs_antennas))
+        path = PathSet(gains=[1.0 + 0.0j], arrival_angles=[incident],
+                       departure_angles=[feed_departure], tap_indices=[0], mean_powers=[1.0])
+        return channel_stats(path, ArrayGeometry(spec.ris_elements),
+                             ArrayGeometry(config.bs_antennas))
 
-    design = synthesis.synthesize(target, stats_for(phi0), num_streams=1,
-                                  oversampling=config.oversampling,
-                                  weight_config=config.weight_config(),
-                                  seed=synth_seed,
-                                  **config.optimizer.synthesis_kwargs())
+    design = synthesis.synthesize(spec.target(), stats_for(phi0), num_streams=1,
+                                  seed=synth_seed, **config.synthesis_kwargs())
     grid = design.grid
     angles = grid.angles
     measured0 = measure_minus3db_region(angles, design.achieved_pattern)
@@ -387,11 +362,6 @@ def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None
                    0 if ok else 1)
 
 
-def _single_path(arrival: float, departure: float) -> PathSet:
-    return PathSet(gains=[1.0 + 0.0j], arrival_angles=[arrival],
-                   departure_angles=[departure], tap_indices=[0], mean_powers=[1.0])
-
-
 def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
     """Synthesize every (element count, beamwidth) cell over several seeds
     and tabulate the achieved flat-top mean power."""
@@ -400,15 +370,10 @@ def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
     spec = config.scaling
     rows = analysis.power_scaling_probe(
         spec.element_counts, [math.radians(b) for b in spec.beamwidths_deg],
-        ChannelConfig(num_paths=spec.paths,
-                      k_factor_db=-10.0 * math.log10(max(spec.paths - 1, 1))
-                      if spec.paths > 1 else math.inf,
-                      delay_spread_taps=config.cp_length),
+        feed_channel(spec.paths, None, config.cp_length),
         spec.bs_antennas, spec.streams, math.radians(spec.center_deg),
         seeds=range(config.seed, config.seed + spec.num_seeds),
-        oversampling=config.oversampling,
-        weight_config=config.weight_config(),
-        **config.optimizer.synthesis_kwargs())
+        **config.synthesis_kwargs())
     _write_csv(out / "scaling.csv",
                ["num_elements", "beamwidth_deg", "seed", "target_flat_power",
                 "achieved_flat_mean", "ripple_db"],

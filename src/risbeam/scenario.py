@@ -22,10 +22,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import LinkBudget, dbm_to_watts
-from .channel import ChannelConfig, path_loss_linear
+from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power
+from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
 from .manifold import ArmijoParams
-from .pattern import TargetPattern, WeightConfig
+from .pattern import AngularGrid, TargetPattern, WeightConfig
+
+# Trial counts per named preset; keys in a config file override them.
+PRESETS = {"paper": {"users": 1280, "realizations": 500},
+           "ci": {"users": 128, "realizations": 100}}
+
+
+def _check(prefix: str, names: str, build):
+    """Run ``build`` and name the fields ``names`` (space-separated, under
+    ``prefix``) in any ValueError it raises."""
+    try:
+        build()
+    except ValueError as exc:
+        fields = ", ".join(f"{prefix}.{name}" for name in names.split())
+        raise ValueError(f"{fields}: {exc}") from None
+
+
+def _at_least(spec, prefix: str, low: int, names: str) -> None:
+    for name in names.split():
+        if getattr(spec, name) < low:
+            raise ValueError(f"{prefix}.{name}: must be at least {low}, "
+                             f"got {getattr(spec, name)}")
+
+
+def feed_channel(num_paths: int, k_factor_db: float | None,
+                 delay_spread_taps: int) -> ChannelConfig:
+    """Feeding-link recipe; with no explicit K-factor the line-of-sight path
+    is made exactly as strong as each diffuse path."""
+    if k_factor_db is None:
+        k_factor_db = -10.0 * math.log10(num_paths - 1) if num_paths > 1 else math.inf
+    return ChannelConfig(num_paths=num_paths, k_factor_db=k_factor_db,
+                         delay_spread_taps=delay_spread_taps)
 
 
 @dataclass(frozen=True)
@@ -44,17 +75,15 @@ class OptimizerSpec:
     outer_tol: float = 1e-4
     num_starts: int = 3
 
+    def __post_init__(self) -> None:
+        _check("scenario.optimizer", "initial_step contraction sufficient_decrease "
+               "max_halvings", self.armijo)
+        _at_least(self, "scenario.optimizer", 0, "inner_max_iters outer_max_iters")
+        _at_least(self, "scenario.optimizer", 1, "num_starts")
+
     def armijo(self) -> ArmijoParams:
         return ArmijoParams(self.initial_step, self.contraction,
                             self.sufficient_decrease, self.max_halvings)
-
-    def synthesis_kwargs(self) -> dict:
-        return dict(armijo=self.armijo(), num_starts=self.num_starts,
-                    inner_max_iters=self.inner_max_iters,
-                    inner_grad_tol=self.inner_grad_tol,
-                    inner_cost_tol=self.inner_cost_tol,
-                    outer_max_iters=self.outer_max_iters,
-                    outer_tol=self.outer_tol)
 
 
 @dataclass(frozen=True)
@@ -74,6 +103,22 @@ class OfdmaEvalSpec:
     p_sweep_dbm: tuple[float, ...] = (10.0, 20.0, 30.0)
     realizations: int = 1000
 
+    def __post_init__(self) -> None:
+        path = "scenario.ofdma"
+        _check(path, "ris_elements", lambda: ArrayGeometry(self.ris_elements))
+        for k_db in self.k_sweep_db:
+            _check(path, "coverage_deg k_sweep_db", lambda: self.coverage_stats(k_db))
+        # the diffuse user paths carry the residual of any finite K-factor
+        _check(path, "nlos_paths", lambda: ChannelConfig(self.nlos_paths + 1, 0.0))
+        _check(path, "direct_paths", lambda: ChannelConfig(self.direct_paths))
+        _at_least(self, path, 0, "realizations")
+
+    def coverage_stats(self, k_db: float) -> CoverageStats:
+        """Closed-form inputs at Rice factor ``k_db`` with the default flat top."""
+        lo, hi = (math.radians(d) for d in self.coverage_deg)
+        return CoverageStats(10.0 ** (k_db / 10.0), hi - lo,
+                             default_flat_power(self.ris_elements, hi - lo))
+
 
 @dataclass(frozen=True)
 class BeamShiftSpec:
@@ -83,6 +128,15 @@ class BeamShiftSpec:
     coverage_deg: tuple[float, float] = (100.0, 140.0)
     incident_from_deg: float = 60.0
     incident_to_deg: float = 70.0
+
+    def __post_init__(self) -> None:
+        _check("scenario.beamshift", "ris_elements", lambda: ArrayGeometry(self.ris_elements))
+        _check("scenario.beamshift", "coverage_deg", self.target)
+
+    def target(self) -> TargetPattern:
+        lo, hi = (math.radians(d) for d in self.coverage_deg)
+        return TargetPattern.for_coverage(
+            lo, hi, flat_power=default_flat_power(self.ris_elements, hi - lo))
 
 
 @dataclass(frozen=True)
@@ -98,6 +152,15 @@ class ScalingProbeSpec:
     streams: int = 2
     bs_antennas: int = 16
 
+    def __post_init__(self) -> None:
+        path = "scenario.scaling"
+        for m in self.element_counts:
+            _check(path, "element_counts", lambda: ArrayGeometry(m))
+        _check(path, "bs_antennas", lambda: ArrayGeometry(self.bs_antennas))
+        _check(path, "paths", lambda: feed_channel(self.paths, None, 0))
+        _at_least(self, path, 0, "num_seeds")
+        _at_least(self, path, 1, "streams")
+
 
 @dataclass(frozen=True)
 class GradCheckSpec:
@@ -111,6 +174,9 @@ class GradCheckSpec:
     oversampling: int = 8
     fd_step: float = 1e-6
     threshold: float = 1e-4
+
+    def __post_init__(self) -> None:
+        _at_least(self, "scenario.gradcheck", 0, "instances")
 
 
 @dataclass(frozen=True)
@@ -158,16 +224,13 @@ class ScenarioConfig:
         lo, hi = self.coverage_deg
         return math.radians(lo), math.radians(hi)
 
-    def beamwidth_rad(self) -> float:
-        lo, hi = self.coverage_rad()
-        return hi - lo
-
     def flat_power_value(self) -> float:
         """Configured flat-top gain, defaulting to the power-scaling
         heuristic: elements * pi / beamwidth."""
         if self.flat_power is not None:
             return self.flat_power
-        return self.ris_elements * math.pi / self.beamwidth_rad()
+        lo, hi = self.coverage_rad()
+        return default_flat_power(self.ris_elements, hi - lo)
 
     def target(self) -> TargetPattern:
         lo, hi = self.coverage_rad()
@@ -178,6 +241,17 @@ class ScenarioConfig:
 
     def weight_config(self) -> WeightConfig:
         return WeightConfig(self.flat_weight, self.sidelobe_weight, self.rolloff_weight)
+
+    def synthesis_kwargs(self) -> dict:
+        """Keyword arguments of ``synthesis.synthesize`` shared by every design."""
+        opt = self.optimizer
+        return dict(oversampling=self.oversampling, weight_config=self.weight_config(),
+                    armijo=opt.armijo(), num_starts=opt.num_starts,
+                    inner_max_iters=opt.inner_max_iters,
+                    inner_grad_tol=opt.inner_grad_tol,
+                    inner_cost_tol=opt.inner_cost_tol,
+                    outer_max_iters=opt.outer_max_iters,
+                    outer_tol=opt.outer_tol)
 
     def budget(self) -> LinkBudget:
         def dist(a, b) -> float:
@@ -195,15 +269,7 @@ class ScenarioConfig:
         )
 
     def bs_ris_channel(self) -> ChannelConfig:
-        """Feeding-link recipe; with no explicit K-factor the line-of-sight
-        path is made exactly as strong as each diffuse path."""
-        kdb = self.bs_ris_k_factor_db
-        if kdb is None and self.bs_ris_paths > 1:
-            kdb = -10.0 * math.log10(self.bs_ris_paths - 1)
-        elif kdb is None:
-            kdb = math.inf
-        return ChannelConfig(num_paths=self.bs_ris_paths, k_factor_db=kdb,
-                             delay_spread_taps=self.cp_length)
+        return feed_channel(self.bs_ris_paths, self.bs_ris_k_factor_db, self.cp_length)
 
     def ris_user_channel(self) -> ChannelConfig:
         return ChannelConfig(num_paths=self.ris_user_paths,
@@ -214,23 +280,28 @@ class ScenarioConfig:
         return ChannelConfig(num_paths=self.direct_paths, k_factor_db=None,
                              delay_spread_taps=self.cp_length)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """Reject field values and combinations that the per-field coercion
-        cannot see, naming the fields in the message; cheap enough to run at
-        load, before any synthesis."""
-        for name in ("users", "realizations", "batch_channels"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"scenario.{name}: must be nonnegative, "
-                                 f"got {getattr(self, name)}")
+        """Build every derived object once, naming the offending fields in
+        any error; runs on construction, so no runner sees an invalid config."""
+        for name in ("bs_antennas", "ris_elements", "ue_antennas"):
+            _check("scenario", name, lambda: ArrayGeometry(getattr(self, name)))
+        _at_least(self, "scenario", 1, "streams")
+        _at_least(self, "scenario", 0, "users realizations batch_channels")
         if not 0 <= self.cp_length < self.subcarriers:
             raise ValueError(f"scenario.cp_length: must satisfy 0 <= cp_length < "
                              f"subcarriers ({self.subcarriers}), got {self.cp_length}")
-        for fields, build in (("coverage_deg, rolloff, flat_power, sidelobe_ratio", self.target),
-                              ("flat_weight, sidelobe_weight, rolloff_weight", self.weight_config)):
-            try:
-                build()
-            except ValueError as exc:
-                raise ValueError(f"{fields}: {exc}") from None
+        _check("scenario", "oversampling",
+               lambda: AngularGrid(self.oversampling, self.ris_elements))
+        _check("scenario", "coverage_deg rolloff flat_power sidelobe_ratio", self.target)
+        _check("scenario", "flat_weight sidelobe_weight rolloff_weight", self.weight_config)
+        _check("scenario", "bs_ris_paths bs_ris_k_factor_db", self.bs_ris_channel)
+        _check("scenario", "ris_user_paths ris_user_k_factor_db", self.ris_user_channel)
+        _check("scenario", "direct_paths", self.direct_channel)
+        _check("scenario", "tx_power_dbm noise_power_dbm bs_position ris_position "
+               "user_position", self.budget)
 
     # -- serialization -----------------------------------------------------
 
@@ -238,13 +309,8 @@ class ScenarioConfig:
         return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
-        def default(o):
-            if isinstance(o, tuple):
-                return list(o)
-            raise TypeError(f"not serializable: {o!r}")
-
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
-                          default=default)
+        # tuples serialize as JSON lists
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -254,27 +320,24 @@ class ScenarioConfig:
         return _build_dataclass(cls, data, "scenario")
 
     @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON "
-                                 f"({exc.msg})") from None
+    def load(cls, path=None, preset: str = "ci") -> "ScenarioConfig":
+        """The scenario of the JSON file at ``path`` (built-in defaults when
+        ``None``) with the trial counts of ``preset`` ("paper": 1280 users x
+        500 realizations, "ci": the scaled-down ones) for keys the file
+        leaves unset."""
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset: {preset!r} (expected one of {', '.join(PRESETS)})")
+        data = {}
+        if path is not None:
+            with open(path) as fh:
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON "
+                                     f"({exc.msg})") from None
+        if isinstance(data, dict):
+            data = {**PRESETS[preset], **data}
         return cls.from_dict(data)
-
-    @classmethod
-    def preset(cls, name: str, **overrides) -> "ScenarioConfig":
-        """Named presets: "paper" runs the full-size trial counts
-        (1280 users x 500 realizations), "ci" the scaled-down ones."""
-        if name == "paper":
-            base = dict(users=1280, realizations=500)
-        elif name == "ci":
-            base = dict(users=128, realizations=100)
-        else:
-            raise ValueError(f"unknown preset: {name!r} (expected 'paper' or 'ci')")
-        base.update(overrides)
-        return cls(**base)
 
 
 def _build_dataclass(cls, data, path: str):
@@ -285,13 +348,9 @@ def _build_dataclass(cls, data, path: str):
         if key not in field_map:
             raise ValueError(f"{path}.{key}: unknown key")
     hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, value in data.items():
-        kwargs[name] = _coerce(value, hints[name], f"{path}.{name}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    # every config class names its own fields in its construction errors
+    return cls(**{name: _coerce(value, hints[name], f"{path}.{name}")
+                  for name, value in data.items()})
 
 
 def _coerce(value, hint, path: str):
@@ -320,14 +379,6 @@ def _coerce(value, hint, path: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: expected a number, got {value!r}")
         return float(value)
-    if hint is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{path}: expected a string, got {value!r}")
-        return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"{path}: expected a boolean, got {value!r}")
-        return value
     raise ValueError(f"{path}: unsupported config field type {hint!r}")
 
 

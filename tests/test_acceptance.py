@@ -320,7 +320,7 @@ def test_power_scaling_trends():
 
 
 def test_broadcast_rate_ordering(tmp_path):
-    config = ScenarioConfig.preset("ci")
+    config = ScenarioConfig.load(None, "ci")
     report = harness.run_broadcast_cdf(config, tmp_path)
     med = report["payload"]["median_rates"]
     ok = med["proposed"] > med["random_phase"] and med["proposed"] > med["no_ris"]

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget, OfdmaAllocation,
-                              analytic_ofdma_rate, avg_received_power,
-                              broadcast_rate, cp_adjusted_rate, db_to_linear,
+from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget,
+                              analytic_ofdma_rate, avg_received_power, db_to_linear,
                               dbm_to_watts, equivalent_channel,
                               idealized_ofdma_channel_gains,
-                              idealized_received_power_mc, mrt_precoder,
-                              ofdma_rate, power_scaling_probe, precoded_channels,
-                              subcarrier_rates)
+                              idealized_received_power_mc, power_scaling_probe,
+                              precoded_channels, rate_scale, subcarrier_rates)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet, assemble_channel,
                              sample_paths)
 from risbeam.manifold import random_unit_modulus
@@ -38,15 +36,25 @@ class TestUnits:
         assert db_to_linear(10.0) == pytest.approx(10.0)
 
     def test_cp_adjustment_exact(self):
-        assert cp_adjusted_rate(72.0, 64, 8) == pytest.approx(64.0)
+        assert 72.0 * rate_scale(64, 8, 0.0) == pytest.approx(64.0)
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1, math.nan])
+    def test_overhead_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="overhead fraction"):
+            rate_scale(64, 8, fraction)
 
 
-class TestBroadcastRate:
+def _sum_rate(h, w, budget):
+    """Rate over all subcarriers of the channel stack h under one precoder w."""
+    return float(np.sum(subcarrier_rates(h @ w, budget.snr_scale)))
+
+
+class TestSubcarrierRates:
     def test_zero_power_zero_rate(self):
         rng = np.random.default_rng(0)
         h, w = _random_channels(rng)
         budget = LinkBudget(0.0, 1e-3, 1e-2, 1e-2, 1.0)
-        assert broadcast_rate(h, w, budget) == pytest.approx(0.0, abs=1e-12)
+        assert _sum_rate(h, w, budget) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_reduction(self):
         rng = np.random.default_rng(1)
@@ -55,7 +63,7 @@ class TestBroadcastRate:
         w /= np.linalg.norm(w)
         budget = _budget()
         snr = budget.snr_scale * abs(h[0, 0] @ w[:, 0]) ** 2
-        assert broadcast_rate(h, w, budget) == pytest.approx(
+        assert _sum_rate(h, w, budget) == pytest.approx(
             math.log2(1 + snr), rel=1e-12)
 
     def test_eigenvalue_oracle(self):
@@ -67,37 +75,22 @@ class TestBroadcastRate:
         for k in range(6):
             lam = np.linalg.eigvalsh(hw[k] @ hw[k].conj().T)
             expected += float(np.sum(np.log2(1 + budget.snr_scale * np.clip(lam, 0, None))))
-        assert broadcast_rate(h, w, budget) == pytest.approx(expected, rel=1e-9)
+        assert _sum_rate(h, w, budget) == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_power(self):
         rng = np.random.default_rng(3)
         h, w = _random_channels(rng)
-        rates = [broadcast_rate(h, w, LinkBudget(p, 1e-3, 1e-2, 1e-2, 1.0))
+        rates = [_sum_rate(h, w, LinkBudget(p, 1e-3, 1e-2, 1e-2, 1.0))
                  for p in (0.01, 0.1, 1.0)]
         assert rates[0] < rates[1] < rates[2]
-
-    def test_power_normalization_enforced(self):
-        rng = np.random.default_rng(4)
-        h, w = _random_channels(rng)
-        with pytest.raises(ValueError):
-            broadcast_rate(h, 2.0 * w, _budget())
 
     def test_nan_rejected(self):
         rng = np.random.default_rng(5)
         h, w = _random_channels(rng)
         h[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            broadcast_rate(h, w, _budget())
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            _sum_rate(h, w, _budget())
 
-    def test_per_subcarrier_stack(self):
-        rng = np.random.default_rng(6)
-        h, w = _random_channels(rng, n_c=3)
-        stack = np.stack([w, w, w])
-        assert broadcast_rate(h, stack, _budget()) == pytest.approx(
-            broadcast_rate(h, w, _budget()), rel=1e-12)
-
-
-class TestSubcarrierRates:
     def test_rejects_non_positive_definite_gram(self):
         # a negative SNR scale turns I + s H W W^H H^H indefinite
         with pytest.raises(ValueError, match="positive-definite"):
@@ -167,120 +160,6 @@ class TestPrecodedChannels:
             next(precoded_channels((None,), np.eye(2), feed, users, users, [0], 4,
                                    ArrayGeometry(4), ArrayGeometry(2), ArrayGeometry(2),
                                    _budget()))
-
-
-class TestMrt:
-    def test_blocked_direct_aligns_with_cascade(self):
-        rng = np.random.default_rng(7)
-        cascade = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        budget = LinkBudget(0.1, 1e-3, 1e-2, 1e-2, 0.0)
-        w = mrt_precoder(cascade, np.zeros(8, complex), budget)
-        alignment = abs(np.vdot(w, cascade)) / np.linalg.norm(cascade)
-        assert alignment == pytest.approx(1.0, rel=1e-12)
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            w = mrt_precoder(c, d, _budget())
-            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-
-    def test_collects_full_channel_energy(self):
-        # Cauchy-Schwarz equality: |h^H w|^2 == ||h||^2 for the MRT direction
-        rng = np.random.default_rng(9)
-        budget = _budget()
-        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        combined = (math.sqrt(budget.bs_ris_gain * budget.ris_user_gain) * c
-                    + math.sqrt(budget.direct_gain) * d)
-        w = mrt_precoder(c, d, budget)
-        assert abs(np.vdot(combined, w)) ** 2 == pytest.approx(
-            float(np.vdot(combined, combined).real), rel=1e-12)
-
-    def test_beats_random_precoders(self):
-        rng = np.random.default_rng(10)
-        budget = _budget()
-        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        combined = (math.sqrt(budget.bs_ris_gain * budget.ris_user_gain) * c
-                    + math.sqrt(budget.direct_gain) * d)
-        best = abs(np.vdot(combined, mrt_precoder(c, d, budget))) ** 2
-        for _ in range(100):
-            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            v /= np.linalg.norm(v)
-            assert abs(np.vdot(combined, v)) ** 2 <= best + 1e-12
-
-    def test_zero_channel_rejected(self):
-        with pytest.raises(ValueError):
-            mrt_precoder(np.zeros(4, complex), np.zeros(4, complex), _budget())
-
-
-class TestOfdmaAllocation:
-    def test_disjointness_enforced(self):
-        with pytest.raises(ValueError):
-            OfdmaAllocation(((0, 1), (1, 2)), num_subcarriers=4)
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            OfdmaAllocation(((0, 9),), num_subcarriers=4)
-
-
-def _ofdma_setup(rng, n_c=8, m=16, n_bs=6, users=2):
-    theta = random_unit_modulus(m, rng)
-    ris, bs, ue = ArrayGeometry(m), ArrayGeometry(n_bs), ArrayGeometry(1)
-    feed = sample_paths(ChannelConfig(num_paths=1, k_factor_db=math.inf,
-                                      delay_spread_taps=0), rng)
-    g0 = np.stack([assemble_channel(feed, bs, ris, k, n_c) for k in range(n_c)])
-    hu = np.empty((users, n_c, m), dtype=complex)
-    hd = np.empty((users, n_c, n_bs), dtype=complex)
-    for u in range(users):
-        user = sample_paths(ChannelConfig(num_paths=3, k_factor_db=5.0,
-                                          delay_spread_taps=3), rng)
-        direct = sample_paths(ChannelConfig(num_paths=2, delay_spread_taps=3), rng)
-        for k in range(n_c):
-            hu[u, k] = assemble_channel(user, ris, ue, k, n_c,
-                                        rx_convention="departure_sin_neg",
-                                        tx_convention="arrival_cos_pos")[0].conj()
-            hd[u, k] = assemble_channel(direct, bs, ue, k, n_c,
-                                        rx_convention="departure_sin_neg",
-                                        tx_convention="departure_sin_neg")[0].conj()
-    return theta, g0, hu, hd
-
-
-class TestOfdmaRate:
-    def test_direct_only_reduction(self):
-        rng = np.random.default_rng(11)
-        theta, g0, hu, hd = _ofdma_setup(rng, users=1)
-        budget = LinkBudget(0.1, 1e-3, 1e-30, 1e-30, 1.0)
-        alloc = OfdmaAllocation((tuple(range(8)),), num_subcarriers=8)
-        rate = ofdma_rate(theta, g0, hu, hd, alloc, budget)
-        expected = sum(math.log2(1 + budget.snr_scale
-                                 * float(np.sum(np.abs(hd[0, k]) ** 2)))
-                       for k in range(8))
-        assert rate == pytest.approx(expected, rel=1e-6)
-
-    def test_matches_broadcast_rate_with_mrt(self):
-        # single-antenna user on every subcarrier with per-subcarrier MRT
-        rng = np.random.default_rng(12)
-        theta, g0, hu, hd = _ofdma_setup(rng, users=1)
-        budget = _budget(direct=1e-2)
-        alloc = OfdmaAllocation((tuple(range(8)),), num_subcarriers=8)
-        rate = ofdma_rate(theta, g0, hu, hd, alloc, budget)
-        heq = np.empty((8, 1, 6), dtype=complex)
-        ws = np.empty((8, 6, 1), dtype=complex)
-        for k in range(8):
-            heq[k] = equivalent_channel(hu[0, k][None, :].conj(), theta, g0[k],
-                                        hd[0, k][None, :].conj(), budget)
-            cascade = (g0[k].conj().T * theta.conj()) @ hu[0, k]
-            ws[k, :, 0] = mrt_precoder(cascade, hd[0, k], budget)
-        assert broadcast_rate(heq, ws, budget) == pytest.approx(rate, rel=1e-9)
-
-    def test_empty_allocation_zero_rate(self):
-        rng = np.random.default_rng(13)
-        theta, g0, hu, hd = _ofdma_setup(rng, users=1)
-        alloc = OfdmaAllocation(((),), num_subcarriers=8)
-        assert ofdma_rate(theta, g0, hu, hd, alloc, _budget()) == 0.0
 
 
 class TestClosedForms:

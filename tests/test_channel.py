@@ -50,6 +50,10 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(ArrayGeometry(4), 0.3, "sideways")
 
+    def test_matrix_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="convention"):
+            steering_matrix(ArrayGeometry(4), [0.3, 0.4], "sideways")
+
     def test_matrix_matches_vectors(self):
         geom = ArrayGeometry(5)
         angles = np.array([0.2, 1.1, 2.9])

@@ -57,11 +57,24 @@ class TestScenarioConfig:
         assert k / (k + 1) == pytest.approx(1 / 5)  # as strong as each diffuse path
 
     def test_preset_counts(self):
-        assert ScenarioConfig.preset("paper").users == 1280
-        assert ScenarioConfig.preset("paper").realizations == 500
-        assert ScenarioConfig.preset("ci").users == 128
+        assert ScenarioConfig.load(None, "paper").users == 1280
+        assert ScenarioConfig.load(None, "paper").realizations == 500
+        assert ScenarioConfig.load(None, "ci").users == 128
         with pytest.raises(ValueError):
-            ScenarioConfig.preset("huge")
+            ScenarioConfig.load(None, "huge")
+
+    @pytest.mark.parametrize("data, preset, golden", [
+        (None, "ci", "63cb1bbf6bc289b071c54b305502a61b2a06f30ff623822e359e81542ac89450"),
+        (None, "paper", "bcb688b8c373782bb21bb98de6f88ff9ab24c82db8284dc6f2da4b37be3990d4"),
+        # the file's own users override the preset's; realizations stay 500
+        ({"users": 7}, "paper", "13f29cb6119a41bb0b670a7dbf2a233f94d0b8bef7eaa5387d410a4189e137cc"),
+    ])
+    def test_load_config_hash_golden(self, tmp_path, data, preset, golden):
+        path = None
+        if data is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))
+        assert ScenarioConfig.load(path, preset).config_hash() == golden
 
     def test_unknown_key_reports_path(self):
         with pytest.raises(ValueError, match=r"scenario\.optimizer\.bogus"):
@@ -75,10 +88,10 @@ class TestScenarioConfig:
         p = tmp_path / "bad.json"
         p.write_text('{\n  "seed": 1,\n  oops\n}\n')
         with pytest.raises(ValueError, match=r":3:"):
-            ScenarioConfig.from_file(p)
+            ScenarioConfig.load(p)
 
     def test_roundtrip_and_hash(self):
-        c = ScenarioConfig.preset("ci")
+        c = ScenarioConfig.load(None, "ci")
         again = ScenarioConfig.from_dict(json.loads(json.dumps(c.to_dict())))
         assert again == c
         assert again.config_hash() == c.config_hash()
@@ -219,6 +232,19 @@ class TestRunBroadcastCdf:
         half = [float(l.split(",")[1]) for l in
                 (tmp_path / "cdf.csv").read_text().strip().splitlines()[1:]]
         np.testing.assert_allclose(half, np.array(full) * 0.5, rtol=1e-9)
+
+
+@pytest.mark.parametrize("runner", [harness.run_broadcast_cdf, harness.run_ofdma_eval])
+def test_runner_rejects_overhead_before_work(tmp_path, monkeypatch, runner):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before the overhead check")
+
+    monkeypatch.setattr(harness.synthesis, "synthesize", no_synthesis)
+    monkeypatch.setattr(harness.analysis, "idealized_ofdma_channel_gains", no_synthesis)
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="overhead fraction"):
+        runner(_tiny_config(), out, overhead_fraction=1.5)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +390,15 @@ class TestCli:
         ({"subcarriers": 4, "cp_length": 8}, "scenario.cp_length"),
         ({"subcarriers": 8, "cp_length": 8}, "scenario.cp_length"),
         ({"cp_length": -1}, "scenario.cp_length"),
+        ({"ris_user_paths": 1}, "scenario.ris_user_paths"),
+        ({"streams": 0}, "scenario.streams"),
+        ({"oversampling": 1}, "scenario.oversampling"),
+        ({"bs_ris_paths": 0}, "scenario.bs_ris_paths"),
+        ({"gradcheck": {"instances": -1}}, "scenario.gradcheck.instances"),
+        ({"ris_elements": 0}, "scenario.ris_elements"),
+        ({"ofdma": {"nlos_paths": 0}}, "scenario.ofdma.nlos_paths"),
+        ({"optimizer": {"num_starts": 0}}, "scenario.optimizer.num_starts"),
+        ({"coverage_deg": [100, 100]}, "scenario.coverage_deg"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
