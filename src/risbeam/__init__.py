@@ -33,9 +33,8 @@ from .analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
                        power_scaling_probe, precoded_channels, rate_scale,
                        subcarrier_rates)
 from .scenario import ScenarioConfig
-from .validation import (full_matrix_pattern_cost, full_matrix_phase_gradient,
-                         gradient_check, relative_error,
-                         wirtinger_finite_difference)
+from .validation import (full_matrix_phase_gradient, gradient_check,
+                         relative_error, wirtinger_finite_difference)
 
 __version__ = "0.1.0"
 

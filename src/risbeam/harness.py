@@ -276,10 +276,7 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
     rows = []
     for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(spec.instances)):
         rng = np.random.default_rng(child)
-        m = int(rng.integers(4, spec.ris_elements + 1))
-        n_bs = int(rng.integers(2, spec.bs_antennas + 1))
-        n_d = int(rng.integers(1, spec.streams + 1))
-        n_paths = int(rng.integers(1, spec.paths + 1))
+        m, n_bs, n_d, n_paths = spec.draw_sizes(rng)
         paths = sample_paths(ChannelConfig(num_paths=n_paths, delay_spread_taps=0), rng)
         stats = channel_stats(paths, ArrayGeometry(m), ArrayGeometry(n_bs))
         grid = pattern.AngularGrid(spec.oversampling, m)

@@ -184,15 +184,15 @@ def _check_unit_modulus(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def path_excitations(stats: ChannelStats, precoder) -> np.ndarray:
-    """Nonnegative per-path factors chi_l = P_l * ||W^H b_l||^2.
+def path_excitations(stats: ChannelStats, w: np.ndarray) -> np.ndarray:
+    """Nonnegative per-path factors chi_l = P_l * ||W^H b_l||^2 of a precoder
+    matrix (N_BS, N_d) or of each matrix in a stack (..., N_BS, N_d).
 
     These scalars weight the per-path beams whose superposition forms the
     average pattern.
     """
-    w = _as_precoder(precoder)
     bw = stats.bs_departure.conj().T @ w
-    return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=1)
+    return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=-1)
 
 
 def _pattern_scale(stats: ChannelStats) -> float:
@@ -202,27 +202,32 @@ def _pattern_scale(stats: ChannelStats) -> float:
 
 
 def _beams(rows: np.ndarray, theta: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """Per-path beams a(phi_j)^H diag(theta) a_l, shape (grid, paths).
+    """Per-path beams a(phi_j)^H diag(theta) a_l, shape (..., grid, paths)
+    for phases of shape (..., M).
 
     Scaling the (M, paths) arrival stack before the product costs M * paths
     multiplies instead of grid * M, and leaves a narrower matrix product.
     """
-    return rows @ (theta[:, None] * stats.ris_arrival)
+    return rows @ (theta[..., :, None] * stats.ris_arrival)
 
 
 def _scaled_pattern(beam_power: np.ndarray, chi: np.ndarray, scale: float,
                     wnorm2: float) -> np.ndarray:
-    """Pattern scale * |beams|^2 @ chi / ||W||^2 from the per-path beam powers."""
-    return scale * (beam_power @ chi) / wnorm2
+    """Pattern scale * |beams|^2 @ chi / ||W||^2 from the per-path beam powers
+    (..., grid, paths) and excitations (..., paths); leading stack axes
+    broadcast."""
+    return scale * (beam_power @ chi[..., None])[..., 0] / wnorm2
 
 
-def _pattern_unchecked(theta: np.ndarray, precoder, stats: ChannelStats,
+def _pattern_unchecked(theta: np.ndarray, w: np.ndarray, stats: ChannelStats,
                        grid: AngularGrid, element_spacing: float) -> np.ndarray:
-    """Pattern quadratic form without the unit-modulus check; the synthesis
-    gradients are derived for free complex theta, so their finite-difference
-    validation needs this unconstrained extension."""
+    """Pattern quadratic form without the unit-modulus check, for phases
+    (..., M) and precoder matrices (..., N_BS, N_d) whose stack axes
+    broadcast; the synthesis gradients are derived for free complex theta,
+    so their finite-difference validation needs this unconstrained
+    extension."""
     beams = _beams(grid_steering_rows(grid, element_spacing), theta, stats)
-    return _scaled_pattern(np.abs(beams) ** 2, path_excitations(stats, precoder),
+    return _scaled_pattern(np.abs(beams) ** 2, path_excitations(stats, w),
                            _pattern_scale(stats), 1.0)
 
 
@@ -235,7 +240,7 @@ def average_power_pattern(theta, precoder, stats: ChannelStats, grid: AngularGri
         raise ValueError("phase vector length must match the surface size")
     if grid.num_ris_elements != m:
         raise ValueError("grid was built for a different surface size")
-    return _pattern_unchecked(theta, precoder, stats, grid, element_spacing)
+    return _pattern_unchecked(theta, _as_precoder(precoder), stats, grid, element_spacing)
 
 
 def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid,

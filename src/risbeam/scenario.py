@@ -49,6 +49,12 @@ def _at_least(spec, prefix: str, low: int, names: str) -> None:
                              f"got {getattr(spec, name)}")
 
 
+def _positive(spec, prefix: str, names: str) -> None:
+    for name in names.split():
+        if not getattr(spec, name) > 0:
+            raise ValueError(f"{prefix}.{name}: must be positive, got {getattr(spec, name)}")
+
+
 def feed_channel(num_paths: int, k_factor_db: float | None,
                  delay_spread_taps: int) -> ChannelConfig:
     """Feeding-link recipe; with no explicit K-factor the line-of-sight path
@@ -156,15 +162,24 @@ class ScalingProbeSpec:
         path = "scenario.scaling"
         for m in self.element_counts:
             _check(path, "element_counts", lambda: ArrayGeometry(m))
+            for bw in self.beamwidths_deg:
+                _check(path, "beamwidths_deg",
+                       lambda: default_flat_power(m, math.radians(bw)))
         _check(path, "bs_antennas", lambda: ArrayGeometry(self.bs_antennas))
         _check(path, "paths", lambda: feed_channel(self.paths, None, 0))
         _at_least(self, path, 0, "num_seeds")
         _at_least(self, path, 1, "streams")
 
 
+# Smallest size of each random gradcheck instance, in draw order.
+_GRADCHECK_MIN_SIZES = (("ris_elements", 4), ("bs_antennas", 2), ("streams", 1),
+                        ("paths", 1))
+
+
 @dataclass(frozen=True)
 class GradCheckSpec:
-    """Small random instances for the finite-difference gradient audit."""
+    """Small random instances for the finite-difference gradient audit; the
+    size fields are the largest sizes an instance draws."""
 
     instances: int = 20
     ris_elements: int = 8
@@ -176,7 +191,19 @@ class GradCheckSpec:
     threshold: float = 1e-4
 
     def __post_init__(self) -> None:
-        _at_least(self, "scenario.gradcheck", 0, "instances")
+        path = "scenario.gradcheck"
+        _at_least(self, path, 0, "instances")
+        for name, low in _GRADCHECK_MIN_SIZES:
+            _at_least(self, path, low, name)
+        _check(path, "oversampling",
+               lambda: AngularGrid(self.oversampling, self.ris_elements))
+        _positive(self, path, "fd_step threshold")
+
+    def draw_sizes(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """Surface, transmit-array, stream and path counts of one instance,
+        each uniform between its minimum and the configured maximum."""
+        return tuple(int(rng.integers(low, getattr(self, name) + 1))
+                     for name, low in _GRADCHECK_MIN_SIZES)
 
 
 @dataclass(frozen=True)
@@ -288,6 +315,7 @@ class ScenarioConfig:
         any error; runs on construction, so no runner sees an invalid config."""
         for name in ("bs_antennas", "ris_elements", "ue_antennas"):
             _check("scenario", name, lambda: ArrayGeometry(getattr(self, name)))
+        _at_least(self, "scenario", 0, "seed")
         _at_least(self, "scenario", 1, "streams")
         _at_least(self, "scenario", 0, "users realizations batch_channels")
         if not 0 <= self.cp_length < self.subcarriers:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import risbeam.synthesis
+import risbeam.validation
 from risbeam import cli, harness
 from risbeam.scenario import ScenarioConfig, scenario_rng_children
 
@@ -308,6 +309,18 @@ class TestRunGradcheck:
         report = harness.run_gradcheck(config, tmp_path)
         assert report["exit_code"] == 1
 
+    @pytest.mark.parametrize("name", ["precoder_gradient", "full_matrix_phase_gradient"])
+    def test_corrupted_oracle_fails(self, tmp_path, monkeypatch, name):
+        true_grad = getattr(risbeam.validation, name)
+
+        def corrupted(*args, **kwargs):
+            return true_grad(*args, **kwargs) * (1.0 + 1e-2)
+
+        monkeypatch.setattr(f"risbeam.validation.{name}", corrupted)
+        config = ScenarioConfig.from_dict({"seed": 3, "gradcheck": {"instances": 2}})
+        report = harness.run_gradcheck(config, tmp_path)
+        assert report["exit_code"] == 1
+
     def test_repeatable_error_values(self, tmp_path):
         config = ScenarioConfig.from_dict({"seed": 9, "gradcheck": {"instances": 3}})
         a = harness.run_gradcheck(config, tmp_path / "a")
@@ -399,6 +412,15 @@ class TestCli:
         ({"ofdma": {"nlos_paths": 0}}, "scenario.ofdma.nlos_paths"),
         ({"optimizer": {"num_starts": 0}}, "scenario.optimizer.num_starts"),
         ({"coverage_deg": [100, 100]}, "scenario.coverage_deg"),
+        ({"gradcheck": {"ris_elements": 3}}, "scenario.gradcheck.ris_elements"),
+        ({"gradcheck": {"bs_antennas": 1}}, "scenario.gradcheck.bs_antennas"),
+        ({"gradcheck": {"streams": 0}}, "scenario.gradcheck.streams"),
+        ({"gradcheck": {"paths": 0}}, "scenario.gradcheck.paths"),
+        ({"gradcheck": {"oversampling": 1}}, "scenario.gradcheck.oversampling"),
+        ({"gradcheck": {"fd_step": 0}}, "scenario.gradcheck.fd_step"),
+        ({"gradcheck": {"threshold": -1e-4}}, "scenario.gradcheck.threshold"),
+        ({"seed": -1}, "scenario.seed"),
+        ({"scaling": {"beamwidths_deg": [40, 0]}}, "scenario.scaling.beamwidths_deg"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
@@ -410,6 +432,14 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err.split(": ")[1]
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_fails_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = cli.main(["gradcheck", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: scenario.seed: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["broadcast-cdf", "ofdma-eval"])

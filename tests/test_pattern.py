@@ -7,10 +7,10 @@ from risbeam.channel import (ArrayGeometry, ChannelConfig, channel_stats,
                              sample_paths, steering_vector)
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
-                             average_power_pattern, compute_weights,
+                             _pattern_unchecked, average_power_pattern, compute_weights,
                              normalized_pattern, pattern_cost, pattern_to_csv,
                              region_masks, target_on_grid, target_value)
-from risbeam.validation import _full_matrix_pattern
+from risbeam.validation import _dense_excitation, _full_matrix_pattern
 
 
 def _target():
@@ -233,7 +233,8 @@ class TestNormalizedPattern:
         # the per-path beam kernel against the explicit dense quadratic form
         # rows Theta A (I o P B^H W W^H B) A^H Theta^H rows^H with Theta = diag(theta)
         stats, theta, w, grid, _ = _instance(seed=m, m=m, n_bs=4, paths=3)
-        dense, *_ = _full_matrix_pattern(np.diag(theta), w, stats, grid, 0.5)
+        dense = _full_matrix_pattern(np.diag(theta), *_dense_excitation(w, stats), stats,
+                                     grid, 0.5)
         y = normalized_pattern(theta, w, stats, grid)
         assert np.max(np.abs(y - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -254,6 +255,25 @@ class TestNormalizedPattern:
         stats, theta, w, grid, _ = _instance()
         with pytest.raises(ValueError):
             normalized_pattern(theta, np.zeros_like(w), stats, grid)
+
+    def test_stacked_precoder_rejected(self):
+        stats, theta, w, grid, _ = _instance()
+        with pytest.raises(ValueError):
+            normalized_pattern(theta, np.stack([w, w]), stats, grid)
+
+    def test_stacked_kernel_matches_per_point(self):
+        # the finite-difference audit evaluates stacks of free complex points
+        stats, theta, w, grid, rng = _instance(seed=14, paths=3)
+        thetas = theta + 0.1 * (rng.standard_normal((5, theta.size))
+                                + 1j * rng.standard_normal((5, theta.size)))
+        ws = w + 0.1 * (rng.standard_normal((5,) + w.shape)
+                        + 1j * rng.standard_normal((5,) + w.shape))
+        np.testing.assert_array_equal(
+            _pattern_unchecked(thetas, w, stats, grid, 0.5),
+            [_pattern_unchecked(th, w, stats, grid, 0.5) for th in thetas])
+        np.testing.assert_array_equal(
+            _pattern_unchecked(theta, ws, stats, grid, 0.5),
+            [_pattern_unchecked(theta, wc, stats, grid, 0.5) for wc in ws])
 
 
 class TestPatternCost:
