@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from risbeam import (ArrayGeometry, ChannelConfig, TargetPattern, channel_stats,
-                     pattern_to_csv, sample_paths, synthesize)
+                     sample_paths, synthesize)
 
 M = 48            # surface elements
 N_BS = 32         # transmit antennas
@@ -54,7 +54,12 @@ mean_gain = result.achieved_pattern[flat].mean()
 print(f"achieved mean in-band gain: {mean_gain:.1f}x "
       f"({10 * math.log10(mean_gain):.1f} dB) vs target {flat_gain:.0f}x")
 
-pattern_to_csv("flat_top_pattern.csv", result.grid.angles,
-               result.achieved_pattern, result.target_values)
+gain_db = 10 * np.log10(np.maximum(result.achieved_pattern, 1e-30))
+target_db = 10 * np.log10(np.maximum(result.target_values, 1e-30))
+np.savetxt("flat_top_pattern.csv",
+           np.column_stack((np.degrees(result.grid.angles), result.achieved_pattern,
+                            gain_db, result.target_values, target_db)),
+           fmt="%.12g", delimiter=",", comments="",
+           header="angle_deg,gain_linear,gain_db,target_linear,target_db")
 print("\npattern written to flat_top_pattern.csv "
       "(angle_deg, gain_linear, gain_db, target_linear, target_db)")

@@ -13,21 +13,21 @@ rates against their closed-form predictions.
 from .channel import (ArrayGeometry, ChannelConfig, ChannelStats, PathSet,
                       assemble_channel, channel_factors, channel_stats,
                       freq_gain, path_loss_linear, sample_paths,
-                      steering_matrix, steering_vector, time_domain_channel)
+                      steering_matrix, time_domain_channel)
 from .pattern import (AngularGrid, TargetPattern, WeightConfig,
                       average_power_pattern, compute_weights, grid_steering_rows,
-                      normalized_pattern, pattern_cost, pattern_to_csv,
-                      region_masks, target_on_grid, target_value)
+                      normalized_pattern, pattern_cost, region_masks,
+                      target_on_grid, target_value)
 from .manifold import (ArmijoParams, ArmijoResult, CgResult, LineSearchError,
                        RetractionError, armijo_search, euclidean_cg_minimize,
                        is_unit_modulus, project_tangent, random_unit_modulus,
-                       real_inner, retract, rcg_minimize, riemannian_gradient)
+                       real_inner, retract, rcg_minimize)
 from .synthesis import (CoverageRegion, SynthesisResult, flat_top_ripple_db,
                         measure_minus3db_region, optimize_precoder,
                         phase_gradient, precoder_gradient,
                         predict_shifted_region, synthesize)
 from .analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
-                       avg_received_power, db_to_linear, dbm_to_watts,
+                       avg_received_power, dbm_to_watts,
                        default_flat_power, equivalent_channel,
                        idealized_ofdma_channel_gains, idealized_received_power_mc,
                        power_scaling_probe, precoded_channels, rate_scale,

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_factors, channel_stats,
-                      freq_gain, sample_paths)
+                      freq_gain, sample_paths, steering_matrix)
 from .pattern import TargetPattern, _beams, region_masks
 from .synthesis import synthesize
 
@@ -54,10 +54,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def rate_scale(num_subcarriers: int, cp_length: int, overhead_fraction: float) -> float:
     """Factor applied to every reported rate: the cyclic-prefix efficiency
     N_c/(N_c + L_cp) times the share 1 - F left after estimation overhead."""
@@ -73,6 +69,14 @@ def default_flat_power(num_elements: int, beamwidth_rad: float) -> float:
     if not beamwidth_rad > 0.0:
         raise ValueError(f"covered beamwidth must be positive, got {beamwidth_rad}")
     return num_elements * math.pi / beamwidth_rad
+
+
+def scaling_cell_target(num_elements: int, beamwidth_rad: float,
+                        center: float) -> TargetPattern:
+    """Flat-top target of one power-scaling cell: ``beamwidth_rad`` around
+    ``center`` at the ``default_flat_power`` of ``num_elements``."""
+    return TargetPattern.for_coverage(center - beamwidth_rad / 2.0, center + beamwidth_rad / 2.0,
+                                      flat_power=default_flat_power(num_elements, beamwidth_rad))
 
 
 def equivalent_channel(ris_user_channel: np.ndarray, theta: np.ndarray,
@@ -127,9 +131,9 @@ def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
         d = channel_factors(direct.draws(block), bs, ue, k, num_subcarriers,
                             rx_convention="departure_sin_neg",
                             tx_convention="departure_sin_neg")
-        direct_hw = (a_direct * d.scale * d.arrival * (d.gains * d.tap_phases)[:, None, :]
+        direct_hw = (a_direct * d.scale * d.arrival * d.gains[:, None, :]
                      @ (d.departure.conj().swapaxes(-1, -2) @ w))
-        user_steer = a_ris * h.scale * h.arrival * (h.gains * h.tap_phases)[:, None, :]
+        user_steer = a_ris * h.scale * h.arrival * h.gains[:, None, :]
         user_rows = h.departure.conj().swapaxes(-1, -2)
         fed_bw = feed_delta[k][:, :, None] * feed_bw
         out = np.empty((len(thetas),) + direct_hw.shape, dtype=complex)
@@ -240,32 +244,29 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
     own line-of-sight departure is drawn inside the sector.
     """
     direct_link = ChannelConfig(num_direct_paths, None, delay_spread_taps=num_subcarriers - 1)
+    bs = ArrayGeometry(num_bs_antennas)
     a1 = math.sqrt(bs_ris_user_gain)
-    a2 = math.sqrt(direct_gain)
-    ks = np.arange(num_subcarriers)
-    ant = np.arange(num_bs_antennas)
+    # the direct channel's single receive antenna leaves sqrt(N_BS) of its scale
+    a2 = math.sqrt(direct_gain) * math.sqrt(num_bs_antennas)
+    ks = np.arange(num_subcarriers)[:, None]
     out = np.empty((num_realizations, num_subcarriers))
     done = 0
     while done < num_realizations:
         r = min(chunk, num_realizations - done)
         user, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
                                          num_subcarriers, r, rng)
-        ramp_u = np.exp(-2j * np.pi * user.tap_indices[:, None, :] * ks[None, :, None]
-                        / num_subcarriers)
-        cascade = np.einsum("rkq,rq->rk", ramp_u, amp)
+        cascade = np.sum(freq_gain(amp[:, None, :], user.tap_indices[:, None, :], ks,
+                                   num_subcarriers), axis=-1)
 
-        # transmit-side steering of the line-of-sight feed (unit norm)
-        feed = np.exp(-1j * np.pi * np.outer(np.sin(rng.uniform(0.0, np.pi, size=r)), ant))
-        feed /= math.sqrt(num_bs_antennas)
+        # transmit-side steering of the line-of-sight feed, (r, N_BS)
+        feed = steering_matrix(bs, rng.uniform(0.0, np.pi, size=r), "departure_sin_neg").T
 
         direct = sample_paths(direct_link, rng, draws=r)
-        bsteer = np.exp(-1j * np.pi * np.sin(direct.departure_angles)[:, :, None]
-                        * ant[None, None, :])
-        ramp_d = np.exp(-2j * np.pi * direct.tap_indices[:, None, :] * ks[None, :, None]
-                        / num_subcarriers)
-        delta_d = ramp_d * direct.gains[:, None, :]
+        bsteer = steering_matrix(bs, direct.departure_angles, "departure_sin_neg")
+        delta_d = freq_gain(direct.gains[:, None, :], direct.tap_indices[:, None, :], ks,
+                            num_subcarriers)
         rows = (a1 * cascade[:, :, None] * feed.conj()[:, None, :]
-                + a2 * np.einsum("rkq,rqn->rkn", delta_d, bsteer.conj()))
+                + a2 * np.einsum("rkq,rnq->rkn", delta_d, bsteer.conj()))
         out[done:done + r] = np.sum(np.abs(rows) ** 2, axis=2)
         done += r
     return out
@@ -285,15 +286,15 @@ def idealized_received_power_mc(stats: CoverageStats, budget: LinkBudget,
     """
     paths, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
                                       num_subcarriers, num_draws, rng)
-    ant = np.arange(num_ue_antennas)
-    ks = np.arange(num_subcarriers)
-    ue_phase = np.exp(-1j * np.pi * np.sin(paths.arrival_angles)[:, None, :]
-                      * ant[None, :, None])
-    tap_phase = np.exp(-2j * np.pi * paths.tap_indices[:, None, :] * ks[None, :, None]
-                       / num_subcarriers)
-    field = np.einsum("riq,rkq,rq->rik", ue_phase, tap_phase, amp)
+    ue = steering_matrix(ArrayGeometry(num_ue_antennas), paths.arrival_angles,
+                         "departure_sin_neg")
+    gains = freq_gain(amp[:, None, :], paths.tap_indices[:, None, :],
+                      np.arange(num_subcarriers)[:, None], num_subcarriers)
+    # unit-norm steering: N_UE times the mean is the mean per-antenna power
+    field = ue @ gains.swapaxes(-1, -2)
     scale = budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
-    return scale * float(np.mean(np.abs(field) ** 2)) + budget.noise_power_w
+    return (scale * num_ue_antennas * float(np.mean(np.abs(field) ** 2))
+            + budget.noise_power_w)
 
 
 def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[float],
@@ -304,7 +305,7 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
     """Synthesize every (element count, beamwidth) cell and report the mean
     achieved flat-top power; the scaling trends live in the caller's hands.
 
-    The target level is ``default_flat_power``; the per-cell channel is
+    Each cell's target is ``scaling_cell_target``; the per-cell channel is
     redrawn from each seed.
     """
     rows: list[dict] = []
@@ -314,9 +315,7 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
             for seed in seeds:
                 paths = sample_paths(channel_config, int(seed))
                 stats = channel_stats(paths, ArrayGeometry(int(m)), bs_geom)
-                flat = default_flat_power(m, bw)
-                target = TargetPattern.for_coverage(center - bw / 2.0, center + bw / 2.0,
-                                                    flat_power=flat)
+                target = scaling_cell_target(m, bw, center)
                 result = synthesize(target, stats, num_streams=num_streams,
                                     seed=int(seed), **synth_kwargs)
                 flat_mask, _, _ = region_masks(target, result.grid.angles)
@@ -324,7 +323,7 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
                     "num_elements": int(m),
                     "beamwidth_rad": float(bw),
                     "seed": int(seed),
-                    "target_flat_power": float(flat),
+                    "target_flat_power": float(target.flat_power),
                     "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
                     "ripple_db": float(result.flat_top_ripple_db),
                 })

@@ -1,4 +1,5 @@
-"""Geometric multipath mmWave channel model for uniform linear arrays.
+"""Geometric multipath mmWave channel model for half-wavelength uniform
+linear arrays.
 
 Channels are sums of discrete plane-wave paths. Each path carries a complex
 gain, an arrival angle, a departure angle, and an integer delay tap; the
@@ -27,24 +28,13 @@ _CONVENTIONS = {
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array: element count and spacing in wavelengths."""
+    """Uniform linear array with half-wavelength element spacing."""
 
     num_elements: int
-    element_spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
         if int(self.num_elements) != self.num_elements or self.num_elements < 1:
             raise ValueError("num_elements must be a positive integer")
-        s = self.element_spacing_over_wavelength
-        if not (math.isfinite(s) and s > 0):
-            raise ValueError("element spacing must be positive and finite")
-
-
-def steering_vector(geometry: ArrayGeometry, angle: float,
-                    convention: SteeringConvention) -> np.ndarray:
-    """Unit-norm array response vector of a plane wave at ``angle`` (radians):
-    the single column of ``steering_matrix``."""
-    return steering_matrix(geometry, [angle], convention)[:, 0]
 
 
 def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
@@ -53,8 +43,8 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
     columns, shape (N, len(angles)); angles of shape (..., L) give one such
     stack per leading index, shape (..., N, L).
 
-    Entry m has phase ``sign * 2*pi*m*(spacing/wavelength) * trig(angle)``
-    where sign/trig are fixed by the convention:
+    Entry m has phase ``sign * pi * m * trig(angle)`` (half-wavelength
+    spacing) where sign/trig are fixed by the convention:
 
     * ``arrival_cos_neg``   -- -cos ramp (wave impinging on the reflecting array)
     * ``arrival_cos_pos``   -- +cos ramp (wave leaving the reflecting array)
@@ -70,7 +60,7 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
     except KeyError:
         raise ValueError(f"unknown steering convention: {convention!r}") from None
     n = geometry.num_elements
-    ramp = sign * 2.0 * np.pi * geometry.element_spacing_over_wavelength * trig(angles)
+    ramp = sign * np.pi * trig(angles)
     out = np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :]))
     out /= np.sqrt(n)
     return out
@@ -273,14 +263,14 @@ def freq_gain(path_gain, tap_index, subcarrier, num_subcarriers):
 
 
 class ChannelFactors(NamedTuple):
-    """Factored frequency response: scale * arrival @ diag(tap_phases) @ diag(gains) @ departure^H.
+    """Factored frequency response: scale * arrival @ diag(gains) @ departure^H,
+    with ``gains`` the per-path frequency gains (``freq_gain``).
 
     For a batched PathSet every field but ``scale`` carries the leading
     draw axis.
     """
 
     arrival: np.ndarray
-    tap_phases: np.ndarray
     gains: np.ndarray
     departure: np.ndarray
     scale: float
@@ -297,10 +287,10 @@ def channel_factors(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: Arr
         raise ValueError("delay taps must be below the subcarrier count")
     arrival = steering_matrix(rx_geometry, paths.arrival_angles, rx_convention)
     departure = steering_matrix(tx_geometry, paths.departure_angles, tx_convention)
-    k = np.asarray(subcarrier)[..., None]
-    tap_phases = np.exp(-2j * np.pi * k * paths.tap_indices / num_subcarriers)
+    gains = freq_gain(paths.gains, paths.tap_indices, np.asarray(subcarrier)[..., None],
+                      num_subcarriers)
     scale = math.sqrt(tx_geometry.num_elements * rx_geometry.num_elements)
-    return ChannelFactors(arrival, tap_phases, paths.gains.copy(), departure, scale)
+    return ChannelFactors(arrival, gains, departure, scale)
 
 
 def assemble_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: ArrayGeometry,
@@ -315,8 +305,7 @@ def assemble_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: Ar
     """
     f = channel_factors(paths, tx_geometry, rx_geometry, subcarrier, num_subcarriers,
                         rx_convention, tx_convention)
-    delta = f.gains * f.tap_phases
-    return f.scale * (f.arrival * delta[..., None, :]) @ f.departure.conj().swapaxes(-1, -2)
+    return f.scale * (f.arrival * f.gains[..., None, :]) @ f.departure.conj().swapaxes(-1, -2)
 
 
 def time_domain_channel(paths: PathSet, tx_geometry: ArrayGeometry, rx_geometry: ArrayGeometry,

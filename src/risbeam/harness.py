@@ -88,8 +88,11 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
     grid = result.grid
     angles = grid.angles
 
-    pattern.pattern_to_csv(out / "pattern.csv", angles, result.achieved_pattern,
-                           result.target_values)
+    _write_csv(out / "pattern.csv",
+               ["angle_deg", "gain_linear", "gain_db", "target_linear", "target_db"],
+               ((math.degrees(a), y, 10.0 * np.log10(max(y, 1e-30)),
+                 f, 10.0 * np.log10(max(f, 1e-30)))
+                for a, y, f in zip(angles, result.achieved_pattern, result.target_values)))
     trace = result.concatenated_trace()
     _write_csv(out / "trace.csv", ["iteration", "cost"],
                ((i, c) for i, c in enumerate(trace)))

@@ -50,17 +50,12 @@ def retract(point: np.ndarray) -> np.ndarray:
     return point / mags
 
 
-def riemannian_gradient(base: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:
-    """Riemannian gradient: tangent projection of the Euclidean gradient."""
-    return project_tangent(base, euclidean_grad)
-
-
 def random_unit_modulus(size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform i.i.d. phases on the unit circle."""
     return np.exp(2j * np.pi * rng.uniform(size=size))
 
 
-def is_unit_modulus(theta: np.ndarray, atol: float = 1e-12) -> bool:
+def is_unit_modulus(theta: np.ndarray, atol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(np.abs(theta) - 1.0) <= atol))
 
 
@@ -137,10 +132,6 @@ class CgResult:
     status: str
     iterations: int
     grad_norm: float
-
-    @property
-    def converged(self) -> bool:
-        return self.status in ("gradient_tolerance", "cost_tolerance")
 
     @property
     def final_cost(self) -> float:
@@ -226,7 +217,7 @@ def rcg_minimize(cost: Callable[[np.ndarray], float],
     best point so far and status "line_search_stalled".
     """
     theta0 = np.asarray(theta0, dtype=complex)
-    if not is_unit_modulus(theta0, atol=1e-9):
+    if not is_unit_modulus(theta0):
         raise ValueError("theta0 must lie on the unit-modulus manifold")
     return _cg_minimize(cost, euclidean_grad, theta0, project_tangent, retract,
                         armijo, grad_tol, cost_tol, max_iters)

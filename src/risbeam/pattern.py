@@ -14,15 +14,13 @@ so a single (theta, W) pair serves the whole OFDM band.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 
 import numpy as np
 
 from .channel import ArrayGeometry, ChannelStats, steering_matrix
-
-UNIT_MODULUS_ATOL = 1e-9
+from .manifold import is_unit_modulus
 
 
 @dataclass(frozen=True)
@@ -152,18 +150,17 @@ def compute_weights(pattern_values: np.ndarray, target_values: np.ndarray,
 
 
 @lru_cache(maxsize=16)
-def _grid_steering_rows(oversampling: int, num_elements: int, spacing: float) -> np.ndarray:
+def _grid_steering_rows(oversampling: int, num_elements: int) -> np.ndarray:
     """Rows a(phi_j)^H of the grid steering stack, shape (grid, M). Cached."""
-    geom = ArrayGeometry(num_elements, spacing)
     grid = AngularGrid(oversampling, num_elements)
-    rows = steering_matrix(geom, grid.angles, "arrival_cos_pos").conj().T
+    rows = steering_matrix(ArrayGeometry(num_elements), grid.angles, "arrival_cos_pos").conj().T
     rows.flags.writeable = False
     return rows
 
 
-def grid_steering_rows(grid: AngularGrid, element_spacing: float = 0.5) -> np.ndarray:
+def grid_steering_rows(grid: AngularGrid) -> np.ndarray:
     """Surface steering vectors at every grid angle, conjugated and stacked as rows."""
-    return _grid_steering_rows(grid.oversampling, grid.num_ris_elements, element_spacing)
+    return _grid_steering_rows(grid.oversampling, grid.num_ris_elements)
 
 
 def _as_precoder(precoder) -> np.ndarray:
@@ -173,15 +170,6 @@ def _as_precoder(precoder) -> np.ndarray:
     if w.ndim != 2:
         raise ValueError("precoder must be a vector or a matrix")
     return w
-
-
-def _check_unit_modulus(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=complex)
-    if theta.ndim != 1:
-        raise ValueError("phase vector must be 1-D")
-    if np.any(np.abs(np.abs(theta) - 1.0) > UNIT_MODULUS_ATOL):
-        raise ValueError("phase coefficients must have unit modulus")
-    return theta
 
 
 def path_excitations(stats: ChannelStats, w: np.ndarray) -> np.ndarray:
@@ -220,64 +208,50 @@ def _scaled_pattern(beam_power: np.ndarray, chi: np.ndarray, scale: float,
 
 
 def _pattern_unchecked(theta: np.ndarray, w: np.ndarray, stats: ChannelStats,
-                       grid: AngularGrid, element_spacing: float) -> np.ndarray:
+                       grid: AngularGrid) -> np.ndarray:
     """Pattern quadratic form without the unit-modulus check, for phases
     (..., M) and precoder matrices (..., N_BS, N_d) whose stack axes
     broadcast; the synthesis gradients are derived for free complex theta,
     so their finite-difference validation needs this unconstrained
     extension."""
-    beams = _beams(grid_steering_rows(grid, element_spacing), theta, stats)
+    beams = _beams(grid_steering_rows(grid), theta, stats)
     return _scaled_pattern(np.abs(beams) ** 2, path_excitations(stats, w),
                            _pattern_scale(stats), 1.0)
 
 
-def average_power_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid,
-                          element_spacing: float = 0.5) -> np.ndarray:
+def average_power_pattern(theta, precoder, stats: ChannelStats,
+                          grid: AngularGrid) -> np.ndarray:
     """Average reflected power at every grid angle (independent of subcarrier)."""
-    theta = _check_unit_modulus(theta)
+    theta = np.asarray(theta, dtype=complex)
+    if not is_unit_modulus(theta):
+        raise ValueError("phase coefficients must have unit modulus")
     m = stats.num_ris_elements
     if theta.shape != (m,):
         raise ValueError("phase vector length must match the surface size")
     if grid.num_ris_elements != m:
         raise ValueError("grid was built for a different surface size")
-    return _pattern_unchecked(theta, _as_precoder(precoder), stats, grid, element_spacing)
+    return _pattern_unchecked(theta, _as_precoder(precoder), stats, grid)
 
 
-def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid,
-                       element_spacing: float = 0.5) -> np.ndarray:
+def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
     """Average pattern of the Frobenius-normalized precoder; invariant under
     any nonzero rescaling of the precoder."""
     w = _as_precoder(precoder)
     wnorm2 = float(np.vdot(w, w).real)
     if wnorm2 == 0.0:
         raise ValueError("precoder must be nonzero")
-    return average_power_pattern(theta, w, stats, grid, element_spacing) / wnorm2
+    return average_power_pattern(theta, w, stats, grid) / wnorm2
 
 
 def pattern_cost(theta, precoder, target_values: np.ndarray, target: TargetPattern,
-                 weight_config: WeightConfig, stats: ChannelStats, grid: AngularGrid,
-                 weights: np.ndarray | None = None,
-                 element_spacing: float = 0.5) -> float:
+                 weight_config: WeightConfig, stats: ChannelStats, grid: AngularGrid) -> float:
     """Weighted squared distance between the normalized pattern and the target.
 
-    Weights are recomputed from the current pattern unless a fixed vector is
-    supplied (the gradient formulas differentiate with weights held fixed).
+    Weights are recomputed from the current pattern (the gradient formulas
+    differentiate with them held fixed).
     """
-    ybar = normalized_pattern(theta, precoder, stats, grid, element_spacing)
+    ybar = normalized_pattern(theta, precoder, stats, grid)
     f = np.asarray(target_values, dtype=float)
-    if weights is None:
-        weights = compute_weights(ybar, f, target, weight_config, grid.angles)
+    weights = compute_weights(ybar, f, target, weight_config, grid.angles)
     return float(np.sum(weights * (f - ybar) ** 2))
 
-
-def pattern_to_csv(path, angles_rad: np.ndarray, pattern: np.ndarray,
-                   target_values: np.ndarray) -> None:
-    """Write the pattern export: angle_deg, gain_linear, gain_db, target_linear, target_db."""
-    floor = 1e-30
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["angle_deg", "gain_linear", "gain_db", "target_linear", "target_db"])
-        for a, y, f in zip(angles_rad, pattern, target_values):
-            writer.writerow([f"{np.degrees(a):.12g}", f"{y:.12g}",
-                             f"{10.0 * np.log10(max(y, floor)):.12g}",
-                             f"{f:.12g}", f"{10.0 * np.log10(max(f, floor)):.12g}"])

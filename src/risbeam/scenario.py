@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power
+from .analysis import (CoverageStats, LinkBudget, dbm_to_watts, default_flat_power,
+                       scaling_cell_target)
 from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
 from .manifold import ArmijoParams
 from .pattern import AngularGrid, TargetPattern, WeightConfig
@@ -165,6 +166,8 @@ class ScalingProbeSpec:
             for bw in self.beamwidths_deg:
                 _check(path, "beamwidths_deg",
                        lambda: default_flat_power(m, math.radians(bw)))
+                _check(path, "center_deg beamwidths_deg", lambda: scaling_cell_target(
+                    m, math.radians(bw), math.radians(self.center_deg)))
         _check(path, "bs_antennas", lambda: ArrayGeometry(self.bs_antennas))
         _check(path, "paths", lambda: feed_channel(self.paths, None, 0))
         _at_least(self, path, 0, "num_seeds")

@@ -39,8 +39,7 @@ def _precoder_gradient(w: np.ndarray, beam_power: np.ndarray, stats: ChannelStat
 
 
 def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
-                      weights: np.ndarray, grid: AngularGrid,
-                      element_spacing: float = 0.5) -> np.ndarray:
+                      weights: np.ndarray, grid: AngularGrid) -> np.ndarray:
     """Conjugate-coordinate gradient of the fixed-weight cost in the precoder.
 
     Two terms: a radial component along W from the pattern normalization and
@@ -51,14 +50,13 @@ def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.nd
     if float(np.vdot(w, w).real) == 0.0:
         raise ValueError("precoder must be nonzero")
     theta = np.asarray(theta, dtype=complex)
-    beams = _beams(grid_steering_rows(grid, element_spacing), theta, stats)
+    beams = _beams(grid_steering_rows(grid), theta, stats)
     return _precoder_gradient(w, np.abs(beams) ** 2, stats,
                               np.asarray(target_values, dtype=float), weights)
 
 
 def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarray,
-                   weights: np.ndarray, grid: AngularGrid,
-                   element_spacing: float = 0.5, *,
+                   weights: np.ndarray, grid: AngularGrid, *,
                    beams: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-coordinate gradient of the fixed-weight cost in the phases.
 
@@ -73,7 +71,7 @@ def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarr
     wnorm2 = float(np.vdot(w, w).real)
     if wnorm2 == 0.0:
         raise ValueError("precoder must be nonzero")
-    rows = grid_steering_rows(grid, element_spacing)
+    rows = grid_steering_rows(grid)
     if beams is None:
         beams = _beams(rows, theta, stats)
     chi = path_excitations(stats, w)
@@ -90,7 +88,7 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
                       grid: AngularGrid, weight_config: WeightConfig = WeightConfig(),
                       armijo: ArmijoParams = ArmijoParams(),
                       grad_tol: float = 1e-6, cost_tol: float = 1e-8,
-                      max_iters: int = 500, element_spacing: float = 0.5) -> CgResult:
+                      max_iters: int = 500) -> CgResult:
     """Euclidean CG over the precoder with the phases held fixed.
 
     The cost is invariant under rescaling of the precoder, so the returned
@@ -102,7 +100,7 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
         raise ValueError("starting precoder must be nonzero")
     f = target_on_grid(target, grid)
     angles = grid.angles
-    beam_power = np.abs(_beams(grid_steering_rows(grid, element_spacing), theta, stats)) ** 2
+    beam_power = np.abs(_beams(grid_steering_rows(grid), theta, stats)) ** 2
     scale = _pattern_scale(stats)
 
     def weighted_fit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +167,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
                seed: int | np.random.SeedSequence = 0,
                num_starts: int = 3, inner_max_iters: int = 500,
                inner_grad_tol: float = 1e-6, inner_cost_tol: float = 1e-8,
-               outer_max_iters: int = 50, outer_tol: float = 1e-4,
-               element_spacing: float = 0.5) -> SynthesisResult:
+               outer_max_iters: int = 50, outer_tol: float = 1e-4) -> SynthesisResult:
     """Alternating pattern synthesis, best of ``num_starts`` random starts.
 
     Each start draws uniform random phases and a Gaussian precoder from a
@@ -188,7 +185,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         raise ValueError("need at least one start")
     f = target_on_grid(target, grid)
     n_bs = stats.num_bs_antennas
-    rows = grid_steering_rows(grid, element_spacing)
+    rows = grid_steering_rows(grid)
     scale = _pattern_scale(stats)
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -199,20 +196,18 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         w = rng.standard_normal((n_bs, num_streams)) + 1j * rng.standard_normal((n_bs, num_streams))
         w = w / np.linalg.norm(w)
 
-        cost_now = pattern_cost(theta, w, f, target, weight_config, stats, grid,
-                                element_spacing=element_spacing)
+        cost_now = pattern_cost(theta, w, f, target, weight_config, stats, grid)
         outer_trace = [cost_now]
         inner_traces = []
         for _ in range(outer_max_iters):
             w_step = optimize_precoder(w, theta, stats, target, grid, weight_config,
                                        armijo, inner_grad_tol, inner_cost_tol,
-                                       inner_max_iters, element_spacing)
+                                       inner_max_iters)
             w = w_step.point
             inner_traces.append(w_step.cost_trace)
 
             def cost_theta(th: np.ndarray, _w=w) -> float:
-                return pattern_cost(th, _w, f, target, weight_config, stats, grid,
-                                    element_spacing=element_spacing)
+                return pattern_cost(th, _w, f, target, weight_config, stats, grid)
 
             chi, wnorm2 = path_excitations(stats, w), float(np.vdot(w, w).real)
 
@@ -220,8 +215,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
                 beams = _beams(rows, th, stats)
                 ybar = _scaled_pattern(np.abs(beams) ** 2, _chi, scale, _wnorm2)
                 wts = compute_weights(ybar, f, target, weight_config, grid.angles)
-                return phase_gradient(th, _w, stats, f, wts, grid, element_spacing,
-                                      beams=beams)
+                return phase_gradient(th, _w, stats, f, wts, grid, beams=beams)
 
             t_step = rcg_minimize(cost_theta, grad_theta, theta, armijo,
                                   inner_grad_tol, inner_cost_tol, inner_max_iters)
@@ -235,7 +229,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             if rel_drop < outer_tol:
                 break
 
-        achieved = normalized_pattern(theta, w, stats, grid, element_spacing)
+        achieved = normalized_pattern(theta, w, stats, grid)
         candidate = SynthesisResult(
             theta=theta, precoder=w / np.linalg.norm(w),
             outer_cost_trace=np.asarray(outer_trace),

@@ -75,14 +75,13 @@ def _dense_excitation(precoder, stats: ChannelStats) -> tuple[np.ndarray, float]
 
 
 def _full_matrix_pattern(theta_matrix: np.ndarray, v: np.ndarray, wnorm2: float,
-                         stats: ChannelStats, grid: AngularGrid,
-                         element_spacing: float) -> np.ndarray:
+                         stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
     """Normalized pattern of a full phase matrix T, or of each matrix in a
     stack (..., M, M): the diagonal of rows T V T^H rows^H through dense
     products (no per-path shortcut), formed row-wise as
     Re sum_k ((rows T) V)_jk conj(rows T)_jk so no (grid, grid) matrix is
     built."""
-    rt = grid_steering_rows(grid, element_spacing) @ theta_matrix
+    rt = grid_steering_rows(grid) @ theta_matrix
     reflected = np.sum((rt @ v) * rt.conj(), axis=-1).real
     m = stats.num_ris_elements
     return m * m * stats.num_bs_antennas * reflected / wnorm2
@@ -90,27 +89,24 @@ def _full_matrix_pattern(theta_matrix: np.ndarray, v: np.ndarray, wnorm2: float,
 
 def full_matrix_phase_gradient(theta_matrix: np.ndarray, precoder,
                                target_values: np.ndarray, weights: np.ndarray,
-                               stats: ChannelStats, grid: AngularGrid,
-                               element_spacing: float = 0.5) -> np.ndarray:
+                               stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
     """Closed-form conjugate gradient of the fixed-weight cost with respect to
     an unstructured phase matrix, shape (M, M). The production phase gradient
     must equal its diagonal."""
     theta_matrix = np.asarray(theta_matrix, dtype=complex)
     v, wnorm2 = _dense_excitation(precoder, stats)
-    ybar = _full_matrix_pattern(theta_matrix, v, wnorm2, stats, grid, element_spacing)
+    ybar = _full_matrix_pattern(theta_matrix, v, wnorm2, stats, grid)
     f = np.asarray(target_values, dtype=float)
     u = np.asarray(weights, dtype=float) * (ybar - f)
     m = stats.num_ris_elements
     scale = 2.0 * m * m * stats.num_bs_antennas / wnorm2
-    rows = grid_steering_rows(grid, element_spacing)
+    rows = grid_steering_rows(grid)
     return scale * (rows.conj().T * u[None, :]) @ (rows @ theta_matrix @ v)
 
 
 def gradient_check(stats: ChannelStats, target: TargetPattern,
                    weight_config: WeightConfig, grid: AngularGrid,
-                   theta: np.ndarray, precoder, fd_step: float = 1e-6,
-                   include_full_matrix: bool = True,
-                   element_spacing: float = 0.5) -> dict[str, float]:
+                   theta: np.ndarray, precoder, fd_step: float = 1e-6) -> dict[str, float]:
     """Relative errors of the analytic gradients at one point.
 
     * ``precoder_fd`` / ``phase_fd`` -- analytic gradients against central
@@ -125,7 +121,7 @@ def gradient_check(stats: ChannelStats, target: TargetPattern,
     theta = np.asarray(theta, dtype=complex)
     w = _as_precoder(precoder)
     f = target_on_grid(target, grid)
-    ybar = normalized_pattern(theta, w, stats, grid, element_spacing)
+    ybar = normalized_pattern(theta, w, stats, grid)
     weights = compute_weights(ybar, f, target, weight_config, grid.angles)
     wnorm2 = float(np.vdot(w, w).real)
 
@@ -134,30 +130,26 @@ def gradient_check(stats: ChannelStats, target: TargetPattern,
         return np.sum(weights * (f - y) ** 2, axis=-1)
 
     def cost_of_precoders(wc: np.ndarray) -> np.ndarray:
-        y = _pattern_unchecked(theta, wc, stats, grid, element_spacing)
+        y = _pattern_unchecked(theta, wc, stats, grid)
         return fit(y / np.sum(np.abs(wc) ** 2, axis=(-2, -1))[:, None])
 
     def cost_of_phases(th: np.ndarray) -> np.ndarray:
-        return fit(_pattern_unchecked(th, w, stats, grid, element_spacing) / wnorm2)
+        return fit(_pattern_unchecked(th, w, stats, grid) / wnorm2)
 
-    analytic_phase = phase_gradient(theta, w, stats, f, weights, grid, element_spacing)
-    errors = {
+    def cost_of_matrices(tm: np.ndarray) -> np.ndarray:
+        return fit(_full_matrix_pattern(tm, v, wnorm2, stats, grid))
+
+    v, _ = _dense_excitation(w, stats)
+    tm0 = np.diag(theta)
+    analytic_phase = phase_gradient(theta, w, stats, f, weights, grid)
+    analytic_full = full_matrix_phase_gradient(tm0, w, f, weights, stats, grid)
+    return {
         "precoder_fd": relative_error(
             wirtinger_finite_difference(cost_of_precoders, w, fd_step),
-            precoder_gradient(w, theta, stats, f, weights, grid, element_spacing)),
+            precoder_gradient(w, theta, stats, f, weights, grid)),
         "phase_fd": relative_error(
             wirtinger_finite_difference(cost_of_phases, theta, fd_step), analytic_phase),
+        "full_matrix_fd": relative_error(
+            wirtinger_finite_difference(cost_of_matrices, tm0, fd_step), analytic_full),
+        "diag_extraction": relative_error(np.diag(analytic_full), analytic_phase),
     }
-    if include_full_matrix:
-        v, _ = _dense_excitation(w, stats)
-
-        def cost_of_matrices(tm: np.ndarray) -> np.ndarray:
-            return fit(_full_matrix_pattern(tm, v, wnorm2, stats, grid, element_spacing))
-
-        tm0 = np.diag(theta)
-        analytic_full = full_matrix_phase_gradient(tm0, w, f, weights, stats, grid,
-                                                   element_spacing)
-        errors["full_matrix_fd"] = relative_error(
-            wirtinger_finite_difference(cost_of_matrices, tm0, fd_step), analytic_full)
-        errors["diag_extraction"] = relative_error(np.diag(analytic_full), analytic_phase)
-    return errors

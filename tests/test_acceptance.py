@@ -40,11 +40,11 @@ def reference_design():
     t0 = time.perf_counter()
     paths, stats, result = harness._design(config)
     elapsed = time.perf_counter() - t0
-    return config, stats, result, elapsed
+    return config, paths, stats, result, elapsed
 
 
 def test_flat_top_reproduction(reference_design):
-    config, _, result, elapsed = reference_design
+    config, _, _, result, elapsed = reference_design
     ok = result.flat_top_ripple_db <= 2.0 and elapsed < 300.0
     _announce("flat-top-reproduction",
               ok, f"ripple {result.flat_top_ripple_db:.3f} dB (<= 2.0), "
@@ -54,7 +54,7 @@ def test_flat_top_reproduction(reference_design):
 
 
 def test_convergence_traces(reference_design):
-    _, _, result, _ = reference_design
+    _, _, _, result, _ = reference_design
     outer = result.outer_cost_trace
     outer_ok = bool(np.all(np.diff(outer) <= 1e-9 * outer[0]))
     inner_ok = all(np.all(np.diff(t) <= 1e-9 * max(1.0, t[0]))
@@ -319,8 +319,16 @@ def test_power_scaling_trends():
     assert 1.7 <= ratio_bw <= 2.3
 
 
-def test_broadcast_rate_ordering(tmp_path):
+def test_broadcast_rate_ordering(tmp_path, monkeypatch, reference_design):
     config = ScenarioConfig.load(None, "ci")
+    design_config, paths, stats, result, _ = reference_design
+
+    # the fixture already synthesized this scenario's design
+    def shared_design(asked, seeds=None):
+        assert asked == design_config and seeds is None
+        return paths, stats, result
+
+    monkeypatch.setattr(harness, "_design", shared_design)
     report = harness.run_broadcast_cdf(config, tmp_path)
     med = report["payload"]["median_rates"]
     ok = med["proposed"] > med["random_phase"] and med["proposed"] > med["no_ris"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget,
-                              analytic_ofdma_rate, avg_received_power, db_to_linear,
-                              dbm_to_watts, equivalent_channel,
+                              analytic_ofdma_rate, avg_received_power, dbm_to_watts,
+                              equivalent_channel,
                               idealized_ofdma_channel_gains,
                               idealized_received_power_mc, power_scaling_probe,
                               precoded_channels, rate_scale, subcarrier_rates)
@@ -31,9 +31,6 @@ class TestUnits:
         assert dbm_to_watts(20.0) == pytest.approx(0.1)
         assert dbm_to_watts(-80.0) == pytest.approx(1e-11)
         assert dbm_to_watts(0.0) == pytest.approx(1e-3)
-
-    def test_db_linear(self):
-        assert db_to_linear(10.0) == pytest.approx(10.0)
 
     def test_cp_adjustment_exact(self):
         assert 72.0 * rate_scale(64, 8, 0.0) == pytest.approx(64.0)
@@ -200,7 +197,7 @@ class TestClosedForms:
 
     def test_received_power_matches_monte_carlo(self):
         rng = np.random.default_rng(14)
-        stats = CoverageStats(db_to_linear(10.0), np.deg2rad(40), 300.0)
+        stats = CoverageStats(10.0, np.deg2rad(40), 300.0)
         budget = LinkBudget(0.1, 1e-11, 2.8e-8, 2.9e-6, 0.0)
         cov = (np.deg2rad(95), np.deg2rad(135))
         mc = idealized_received_power_mc(stats, budget, cov, 3, 4000, rng)
@@ -209,7 +206,7 @@ class TestClosedForms:
 
     def test_ofdma_rate_matches_monte_carlo(self):
         rng = np.random.default_rng(15)
-        k = db_to_linear(10.0)
+        k = 10.0  # 10 dB
         width = np.deg2rad(30)
         stats = CoverageStats(k, width, 1200.0)
         budget = LinkBudget(0.1, 1e-11, 2.8e-8, 2.9e-6, 8.8e-12)

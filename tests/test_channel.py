@@ -8,47 +8,46 @@ from hypothesis import strategies as st
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
                              assemble_channel, channel_factors, channel_stats,
                              freq_gain, path_loss_linear, sample_paths,
-                             steering_matrix, steering_vector,
-                             time_domain_channel)
+                             steering_matrix, time_domain_channel)
 
 CONVENTIONS = ("arrival_cos_neg", "arrival_cos_pos", "departure_sin_neg")
 
 
 class TestSteeringVector:
     def test_broadside_arrival_is_flat(self):
-        v = steering_vector(ArrayGeometry(4), np.pi / 2, "arrival_cos_neg")
+        v = steering_matrix(ArrayGeometry(4), [np.pi / 2], "arrival_cos_neg")[:, 0]
         np.testing.assert_allclose(v, np.full(4, 0.5), atol=1e-15)
 
     def test_zero_angle_sine_is_flat(self):
-        v = steering_vector(ArrayGeometry(2), 0.0, "departure_sin_neg")
+        v = steering_matrix(ArrayGeometry(2), [0.0], "departure_sin_neg")[:, 0]
         np.testing.assert_allclose(v, np.full(2, 1 / np.sqrt(2)), atol=1e-15)
 
     def test_sixty_degree_positive_cos_ramp(self):
         # phase +pi*m*cos(pi/3) = +pi*m/2 at half-wavelength spacing
-        v = steering_vector(ArrayGeometry(4), np.pi / 3, "arrival_cos_pos")
+        v = steering_matrix(ArrayGeometry(4), [np.pi / 3], "arrival_cos_pos")[:, 0]
         np.testing.assert_allclose(v, np.array([1, 1j, -1, -1j]) / 2, atol=1e-14)
 
     def test_sign_conventions_are_conjugate(self):
         geom = ArrayGeometry(6)
-        neg = steering_vector(geom, 0.7, "arrival_cos_neg")
-        pos = steering_vector(geom, 0.7, "arrival_cos_pos")
+        neg = steering_matrix(geom, [0.7], "arrival_cos_neg")[:, 0]
+        pos = steering_matrix(geom, [0.7], "arrival_cos_pos")[:, 0]
         np.testing.assert_allclose(neg, pos.conj(), atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 64), st.floats(0.0, np.pi),
            st.sampled_from(CONVENTIONS))
     def test_unit_norm(self, n, angle, convention):
-        v = steering_vector(ArrayGeometry(n), angle, convention)
+        v = steering_matrix(ArrayGeometry(n), [angle], convention)[:, 0]
         assert abs(np.vdot(v, v).real - 1.0) < 1e-12
 
     def test_non_finite_angle_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                steering_vector(ArrayGeometry(4), bad, "arrival_cos_neg")
+                steering_matrix(ArrayGeometry(4), [bad], "arrival_cos_neg")[:, 0]
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
-            steering_vector(ArrayGeometry(4), 0.3, "sideways")
+            steering_matrix(ArrayGeometry(4), [0.3], "sideways")[:, 0]
 
     def test_matrix_unknown_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
@@ -60,15 +59,13 @@ class TestSteeringVector:
         mat = steering_matrix(geom, angles, "departure_sin_neg")
         for i, a in enumerate(angles):
             np.testing.assert_allclose(mat[:, i],
-                                       steering_vector(geom, a, "departure_sin_neg"))
+                                       steering_matrix(geom, [a], "departure_sin_neg")[:, 0])
 
 
 class TestArrayGeometry:
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrayGeometry(0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(4, element_spacing_over_wavelength=0.0)
 
 
 class TestPathSet:
@@ -272,14 +269,15 @@ class TestAssembleChannel:
         tx, rx = ArrayGeometry(6), ArrayGeometry(4)
         h = assemble_channel(p, tx, rx, 5, 32)
         f = channel_factors(p, tx, rx, 5, 32)
-        rebuilt = f.scale * f.arrival @ np.diag(f.tap_phases) @ np.diag(f.gains) @ f.departure.conj().T
+        rebuilt = f.scale * f.arrival @ np.diag(f.gains) @ f.departure.conj().T
         assert np.max(np.abs(h - rebuilt)) < 1e-12 * np.max(np.abs(h))
 
     def test_dc_subcarrier_has_unit_tap_phases(self):
         rng = np.random.default_rng(9)
         p = _random_paths(rng, 4, 7)
         f = channel_factors(p, ArrayGeometry(4), ArrayGeometry(4), 0, 16)
-        np.testing.assert_allclose(f.tap_phases, 1.0, atol=1e-15)
+        # every tap phase is 1 at DC, so the frequency gains are the path gains
+        np.testing.assert_allclose(f.gains, p.gains, rtol=0, atol=1e-15)
 
     def test_batched_draws_match_single_draws(self):
         p = sample_paths(ChannelConfig(3, k_factor_db=3.0, delay_spread_taps=7), 2, draws=4)

@@ -126,6 +126,28 @@ class TestRunSynthesize:
         assert len(lines) == config.oversampling * config.ris_elements + 1
         assert lines[0].startswith("angle_deg,")
 
+    def test_pattern_csv_roundtrip(self, tmp_path, monkeypatch):
+        designs = []
+        true_design = harness._design
+
+        def recording_design(config, seeds=None):
+            designs.append(true_design(config, seeds))
+            return designs[-1]
+
+        monkeypatch.setattr(harness, "_design", recording_design)
+        harness.run_synthesize(_tiny_config(), tmp_path)
+        result = designs[0][2]
+        lines = (tmp_path / "pattern.csv").read_text().strip().splitlines()
+        assert lines[0] == "angle_deg,gain_linear,gain_db,target_linear,target_db"
+        assert len(lines) == result.grid.size + 1
+        first = lines[1].split(",")
+        assert float(first[0]) == pytest.approx(0.0)
+        assert float(first[1]) == pytest.approx(result.achieved_pattern[0], rel=1e-10)
+        table = np.loadtxt(tmp_path / "pattern.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(table[:, 1], result.achieved_pattern, rtol=1e-10)
+        np.testing.assert_allclose(table[:, 3], result.target_values, rtol=1e-10)
+        np.testing.assert_allclose(10 ** (table[:, [2, 4]] / 10), table[:, [1, 3]], rtol=1e-9)
+
     def test_trace_nonincreasing(self, syn_run):
         _, out, _ = syn_run
         rows = [line.split(",") for line in
@@ -421,6 +443,9 @@ class TestCli:
         ({"gradcheck": {"threshold": -1e-4}}, "scenario.gradcheck.threshold"),
         ({"seed": -1}, "scenario.seed"),
         ({"scaling": {"beamwidths_deg": [40, 0]}}, "scenario.scaling.beamwidths_deg"),
+        # the 40 degree cell around 165 degrees runs past 180 degrees
+        ({"scaling": {"center_deg": 165, "beamwidths_deg": [20, 40]}},
+         "scenario.scaling.center_deg"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
@@ -452,6 +477,35 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --overhead-fraction: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags, csvs", [
+        ("synthesize", ["--batch-channels", "1"], {"pattern.csv", "trace.csv",
+                                                   "pattern_stats.csv"}),
+        ("broadcast-cdf", [], {"cdf.csv"}),
+        ("ofdma-eval", [], {"rates.csv"}),
+        ("gradcheck", [], {"gradcheck.csv"}),
+        ("beamshift", [], set()),
+        ("scaling-probe", [], {"scaling.csv"}),
+    ])
+    def test_csv_rows_end_in_lf(self, tmp_path, command, flags, csvs):
+        # read as bytes: text mode would turn CRLF into LF and hide it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **TINY, "optimizer": TINY_OPT,
+            "ofdma": {"ris_elements": 32, "k_sweep_db": [10.0], "p_sweep_dbm": [20.0],
+                      "realizations": 20},
+            "gradcheck": {"instances": 1},
+            "beamshift": {"ris_elements": 16},
+            "scaling": {"element_counts": [16], "beamwidths_deg": [40.0], "num_seeds": 1,
+                        "paths": 2, "streams": 1, "bs_antennas": 8},
+        }))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) in (0, 1)
+        outputs = json.loads((out / "report.json").read_text())["outputs"]
+        assert {name for name in outputs if name.endswith(".csv")} == csvs
+        for name in csvs:
+            data = (out / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
 
     def test_preset_flows_into_config(self, tmp_path):
         # ofdma-eval ignores users/realizations, so use gradcheck for speed:

@@ -7,7 +7,7 @@ from risbeam.manifold import (ArmijoParams, LineSearchError, RetractionError,
                               armijo_search, euclidean_cg_minimize,
                               is_unit_modulus, project_tangent,
                               random_unit_modulus, rcg_minimize, real_inner,
-                              retract, riemannian_gradient)
+                              retract)
 
 
 def _rng(seed=0):
@@ -73,21 +73,22 @@ class TestRetraction:
 
 
 class TestRiemannianGradient:
+    # the Riemannian gradient is the tangent projection of the Euclidean one
     def test_tangent_input_passthrough(self):
         theta = _point(4, seed=3)
         g = 1j * theta * np.array([0.5, -2.0, 0.1, 3.0])  # entrywise tangent
-        np.testing.assert_allclose(riemannian_gradient(theta, g), g, atol=1e-13)
+        np.testing.assert_allclose(project_tangent(theta, g), g, atol=1e-13)
 
     def test_zero_gradient(self):
         theta = _point(4, seed=4)
-        np.testing.assert_allclose(riemannian_gradient(theta, np.zeros(4, complex)),
+        np.testing.assert_allclose(project_tangent(theta, np.zeros(4, complex)),
                                    0.0, atol=1e-15)
 
     def test_tangency_invariant(self):
         rng = _rng(5)
         theta = random_unit_modulus(16, rng)
         g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        rg = riemannian_gradient(theta, g)
+        rg = project_tangent(theta, g)
         assert np.max(np.abs((rg * theta.conj()).real)) < 1e-10
 
 
@@ -189,7 +190,7 @@ class TestRcg:
             assert is_unit_modulus(x, atol=1e-12)
             rg = project_tangent(x, grad(x))
             assert np.max(np.abs((rg * x.conj()).real)) < 1e-10
-        assert res.converged
+        assert res.status in ("gradient_tolerance", "cost_tolerance")
         assert res.final_cost < 1e-8
 
     def test_warm_started_searches(self, monkeypatch):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.channel import (ArrayGeometry, ChannelConfig, channel_stats,
-                             sample_paths, steering_vector)
+                             sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
                              _pattern_unchecked, average_power_pattern, compute_weights,
-                             normalized_pattern, pattern_cost, pattern_to_csv,
-                             region_masks, target_on_grid, target_value)
+                             normalized_pattern, pattern_cost, region_masks,
+                             target_on_grid, target_value)
 from risbeam.validation import _dense_excitation, _full_matrix_pattern
 
 
@@ -139,8 +139,7 @@ class TestAveragePowerPattern:
         geom_m, geom_b = ArrayGeometry(m), ArrayGeometry(n_bs)
         a_cols = stats.ris_arrival
         b_cols = stats.bs_departure
-        rows = np.stack([steering_vector(geom_m, ang, "arrival_cos_pos").conj()
-                         for ang in grid.angles])
+        rows = steering_matrix(geom_m, grid.angles, "arrival_cos_pos").conj().T
         draws = 100_000
         lam = stats.path_powers
         acc = np.zeros(grid.size)
@@ -195,14 +194,14 @@ class TestAveragePowerPattern:
                                            angle_distribution=((incident,), (feed_dep,))),
                              rng)
         stats = channel_stats(paths, geom_m, geom_b)
-        w = steering_vector(geom_b, feed_dep, "departure_sin_neg")[:, None]
+        w = steering_matrix(geom_b, [feed_dep], "departure_sin_neg")
         idx = np.arange(m)
         theta = np.exp(1j * np.pi * idx * (np.cos(observe) + np.cos(incident)))
         grid = AngularGrid(10, m)
         y = average_power_pattern(theta, w, stats, grid)
         j = int(np.argmin(np.abs(grid.angles - observe)))
         # direct evaluation at the exact observation angle
-        obs = steering_vector(geom_m, observe, "arrival_cos_pos")
+        obs = steering_matrix(geom_m, [observe], "arrival_cos_pos")[:, 0]
         quad = obs.conj() @ np.diag(theta) @ (stats.ris_arrival @ stats.ris_arrival.conj().T) \
             @ np.diag(theta).conj().T @ obs
         direct = m * m * n_bs * float(quad.real) * float(
@@ -216,8 +215,7 @@ class TestAveragePowerPattern:
         stats, theta, w, grid, _ = _instance(seed=7, paths=3)
         m, n_bs = stats.num_ris_elements, stats.num_bs_antennas
         y = average_power_pattern(theta, w, stats, grid)
-        rows = np.stack([steering_vector(ArrayGeometry(m), ang, "arrival_cos_pos").conj()
-                         for ang in grid.angles])
+        rows = steering_matrix(ArrayGeometry(m), grid.angles, "arrival_cos_pos").conj().T
         total = np.zeros(grid.size)
         for l in range(stats.num_paths):
             chi = stats.path_powers[l] * np.sum(
@@ -233,8 +231,7 @@ class TestNormalizedPattern:
         # the per-path beam kernel against the explicit dense quadratic form
         # rows Theta A (I o P B^H W W^H B) A^H Theta^H rows^H with Theta = diag(theta)
         stats, theta, w, grid, _ = _instance(seed=m, m=m, n_bs=4, paths=3)
-        dense = _full_matrix_pattern(np.diag(theta), *_dense_excitation(w, stats), stats,
-                                     grid, 0.5)
+        dense = _full_matrix_pattern(np.diag(theta), *_dense_excitation(w, stats), stats, grid)
         y = normalized_pattern(theta, w, stats, grid)
         assert np.max(np.abs(y - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -269,11 +266,11 @@ class TestNormalizedPattern:
         ws = w + 0.1 * (rng.standard_normal((5,) + w.shape)
                         + 1j * rng.standard_normal((5,) + w.shape))
         np.testing.assert_array_equal(
-            _pattern_unchecked(thetas, w, stats, grid, 0.5),
-            [_pattern_unchecked(th, w, stats, grid, 0.5) for th in thetas])
+            _pattern_unchecked(thetas, w, stats, grid),
+            [_pattern_unchecked(th, w, stats, grid) for th in thetas])
         np.testing.assert_array_equal(
-            _pattern_unchecked(theta, ws, stats, grid, 0.5),
-            [_pattern_unchecked(theta, wc, stats, grid, 0.5) for wc in ws])
+            _pattern_unchecked(theta, ws, stats, grid),
+            [_pattern_unchecked(theta, wc, stats, grid) for wc in ws])
 
 
 class TestPatternCost:
@@ -302,26 +299,3 @@ class TestPatternCost:
         f = target_on_grid(t, grid)
         assert pattern_cost(theta, w, f, t, WeightConfig(), stats, grid) >= 0.0
 
-    def test_zero_weights_zero_cost(self):
-        stats, theta, w, grid, _ = _instance(seed=16)
-        t = _target()
-        f = target_on_grid(t, grid)
-        cost = pattern_cost(theta, w, f, t, WeightConfig(), stats, grid,
-                            weights=np.zeros(grid.size))
-        assert cost == 0.0
-
-
-class TestCsvExport:
-    def test_roundtrip(self, tmp_path):
-        stats, theta, w, grid, _ = _instance(seed=17)
-        t = _target()
-        y = normalized_pattern(theta, w, stats, grid)
-        f = target_on_grid(t, grid)
-        out = tmp_path / "pattern.csv"
-        pattern_to_csv(out, grid.angles, y, f)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "angle_deg,gain_linear,gain_db,target_linear,target_db"
-        assert len(lines) == grid.size + 1
-        first = lines[1].split(",")
-        assert float(first[0]) == pytest.approx(0.0)
-        assert float(first[1]) == pytest.approx(y[0], rel=1e-10)

@@ -81,6 +81,6 @@ class TestFullMatrixOracle:
         explicit = np.array([
             m * m * n_bs * np.real(np.diag(rows @ tm @ v @ tm.conj().T @ rows.conj().T))
             / wnorm2 for tm in tms.reshape((-1, m, m))]).reshape(stack + (grid.size,))
-        row_wise = _full_matrix_pattern(tms, v, wnorm2, stats, grid, 0.5)
+        row_wise = _full_matrix_pattern(tms, v, wnorm2, stats, grid)
         assert row_wise.shape == explicit.shape
         assert np.max(np.abs(row_wise - explicit)) <= 1e-12 * np.max(np.abs(explicit))
