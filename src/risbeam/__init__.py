@@ -15,9 +15,8 @@ from .channel import (ArrayGeometry, ChannelConfig, ChannelStats, PathSet,
                       freq_gain, path_loss_linear, sample_paths,
                       steering_matrix, time_domain_channel)
 from .pattern import (AngularGrid, TargetPattern, WeightConfig,
-                      average_power_pattern, compute_weights, grid_steering_rows,
-                      normalized_pattern, pattern_cost, region_masks,
-                      target_on_grid, target_value)
+                      compute_weights, grid_steering_rows, normalized_pattern,
+                      pattern_cost, region_masks, target_value)
 from .manifold import (ArmijoParams, ArmijoResult, CgResult, LineSearchError,
                        RetractionError, armijo_search, euclidean_cg_minimize,
                        is_unit_modulus, project_tangent, random_unit_modulus,

@@ -26,6 +26,10 @@ from .synthesis import synthesize
 # the peak memory of a broadcast run.
 USER_BLOCK = 32
 
+# Realizations per block of `idealized_ofdma_channel_gains`; the stream is
+# drawn block by block, so the size is part of the (config, seed) contract.
+REALIZATION_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -229,8 +233,7 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
                                   num_nlos_paths: int, num_direct_paths: int,
                                   num_subcarriers: int, num_bs_antennas: int,
                                   bs_ris_user_gain: float, direct_gain: float,
-                                  num_realizations: int, rng: np.random.Generator,
-                                  chunk: int = 256) -> np.ndarray:
+                                  num_realizations: int, rng: np.random.Generator) -> np.ndarray:
     """Combined channel power gains g of shape (realizations, subcarriers)
     under a synthetically ideal flat top, so the per-subcarrier SNR with MRT
     is (p / noise) * g.
@@ -252,7 +255,7 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
     out = np.empty((num_realizations, num_subcarriers))
     done = 0
     while done < num_realizations:
-        r = min(chunk, num_realizations - done)
+        r = min(REALIZATION_BLOCK, num_realizations - done)
         user, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
                                          num_subcarriers, r, rng)
         cascade = np.sum(freq_gain(amp[:, None, :], user.tap_indices[:, None, :], ks,

@@ -133,22 +133,16 @@ class ChannelConfig:
     ``k_factor_db`` splits the unit channel power between a line-of-sight
     path (index 0, deterministic magnitude, uniform random phase) and the
     remaining paths; ``None`` makes every path zero-mean complex Gaussian.
-    ``math.inf`` puts all power in the line-of-sight path.
-    ``power_profile`` shapes the diffuse paths: "uniform" or an explicit
-    list (normalized internally).
+    ``math.inf`` puts all power in the line-of-sight path. The diffuse paths
+    share their power equally.
     ``angle_distribution`` is "uniform" for i.i.d. angles over [0, pi], or a
     pair (arrival_angles, departure_angles) of fixed lists.
-    ``los_arrival``/``los_departure`` pin the line-of-sight angles; left
-    ``None`` they are drawn like any other path.
     """
 
     num_paths: int
     k_factor_db: float | None = None
-    power_profile: str | tuple[float, ...] = "uniform"
     delay_spread_taps: int = 0
     angle_distribution: str | tuple = "uniform"
-    los_arrival: float | None = None
-    los_departure: float | None = None
 
     def __post_init__(self) -> None:
         if int(self.num_paths) != self.num_paths or self.num_paths < 1:
@@ -161,25 +155,8 @@ class ChannelConfig:
             if self.num_paths == 1 and math.isfinite(self.k_factor_db):
                 raise ValueError("a finite K-factor needs at least one diffuse path "
                                  "to carry the residual power")
-        if not isinstance(self.power_profile, str):
-            prof = np.asarray(self.power_profile, dtype=float)
-            if np.any(prof < 0) or prof.sum() <= 0:
-                raise ValueError("custom power profile must be nonnegative with positive sum")
-        elif self.power_profile != "uniform":
-            raise ValueError("power_profile must be 'uniform' or an explicit list")
         if isinstance(self.angle_distribution, str) and self.angle_distribution != "uniform":
             raise ValueError("angle_distribution must be 'uniform' or fixed lists")
-
-
-def _nlos_profile(config: ChannelConfig, count: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0)
-    if isinstance(config.power_profile, str):
-        return np.full(count, 1.0 / count)
-    prof = np.asarray(config.power_profile, dtype=float)
-    if prof.shape[0] != count:
-        raise ValueError(f"power profile has {prof.shape[0]} entries, expected {count}")
-    return prof / prof.sum()
 
 
 def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
@@ -208,8 +185,7 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
     q = config.num_paths
 
     if config.k_factor_db is None:
-        los_power = None
-        powers = _nlos_profile(config, q).copy()
+        powers = np.full(q, 1.0 / q)
         # force the exact unit sum the rest of the model relies on
         powers[-1] = 1.0 - powers[:-1].sum()
         noise = gen.standard_normal(lead + (q, 2))
@@ -218,7 +194,7 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
         k = np.inf if math.isinf(config.k_factor_db) else 10.0 ** (config.k_factor_db / 10.0)
         los_power = 1.0 if math.isinf(k) else k / (k + 1.0)
         residual = 0.0 if math.isinf(k) else 1.0 / (k + 1.0)
-        nlos = _nlos_profile(config, q - 1) * residual
+        nlos = np.full(q - 1, 1.0 / max(q - 1, 1)) * residual
         powers = np.concatenate(([los_power], nlos))
         if q > 1:
             powers[-1] = 1.0 - powers[:-1].sum()
@@ -236,13 +212,8 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
         fixed_arr, fixed_dep = config.angle_distribution
         if np.shape(fixed_arr) != (q,) or np.shape(fixed_dep) != (q,):
             raise ValueError("fixed angle lists must match num_paths")
-        arrivals = np.broadcast_to(np.asarray(fixed_arr, dtype=float), lead + (q,)).copy()
-        departures = np.broadcast_to(np.asarray(fixed_dep, dtype=float), lead + (q,)).copy()
-    if los_power is not None:
-        if config.los_arrival is not None:
-            arrivals[..., 0] = config.los_arrival
-        if config.los_departure is not None:
-            departures[..., 0] = config.los_departure
+        arrivals = np.broadcast_to(np.asarray(fixed_arr, dtype=float), lead + (q,))
+        departures = np.broadcast_to(np.asarray(fixed_dep, dtype=float), lead + (q,))
 
     taps = gen.integers(0, config.delay_spread_taps + 1, size=lead + (q,))
     return PathSet(gains, arrivals, departures, taps, powers)

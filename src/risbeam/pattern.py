@@ -117,10 +117,6 @@ class AngularGrid:
         return a
 
 
-def target_on_grid(target: TargetPattern, grid: AngularGrid) -> np.ndarray:
-    return target_value(target, grid.angles)
-
-
 @dataclass(frozen=True)
 class WeightConfig:
     """Region weights for the synthesis cost (flat top, sidelobe, roll-off)."""
@@ -134,18 +130,16 @@ class WeightConfig:
             raise ValueError("all region weights must be positive")
 
 
-def compute_weights(pattern_values: np.ndarray, target_values: np.ndarray,
-                    target: TargetPattern, config: WeightConfig,
-                    angles: np.ndarray) -> np.ndarray:
-    """Per-sample weights: sidelobe samples already below the target get
-    weight zero, everything else its region weight."""
+def compute_weights(pattern_values: np.ndarray, target: TargetPattern,
+                    config: WeightConfig, angles: np.ndarray) -> np.ndarray:
+    """Per-sample weights: sidelobe samples already at or below the sidelobe
+    floor get weight zero, everything else its region weight."""
     y = np.asarray(pattern_values, dtype=float)
-    f = np.asarray(target_values, dtype=float)
     flat, side, roll = region_masks(target, angles)
-    w = np.zeros_like(f)
+    w = np.zeros_like(y)
     w[flat] = config.flat_weight
     w[roll] = config.rolloff_weight
-    w[side & (y > f)] = config.sidelobe_weight
+    w[side & (y > target.sidelobe_power)] = config.sidelobe_weight
     return w
 
 
@@ -163,13 +157,17 @@ def grid_steering_rows(grid: AngularGrid) -> np.ndarray:
     return _grid_steering_rows(grid.oversampling, grid.num_ris_elements)
 
 
-def _as_precoder(precoder) -> np.ndarray:
+def _as_precoder(precoder) -> tuple[np.ndarray, float]:
+    """The precoder as a nonzero (N_BS, N_d) matrix, and ||W||^2."""
     w = np.asarray(precoder, dtype=complex)
     if w.ndim == 1:
         w = w[:, None]
     if w.ndim != 2:
         raise ValueError("precoder must be a vector or a matrix")
-    return w
+    wnorm2 = float(np.vdot(w, w).real)
+    if wnorm2 == 0.0:
+        raise ValueError("precoder must be nonzero")
+    return w, wnorm2
 
 
 def path_excitations(stats: ChannelStats, w: np.ndarray) -> np.ndarray:
@@ -219,9 +217,10 @@ def _pattern_unchecked(theta: np.ndarray, w: np.ndarray, stats: ChannelStats,
                            _pattern_scale(stats), 1.0)
 
 
-def average_power_pattern(theta, precoder, stats: ChannelStats,
-                          grid: AngularGrid) -> np.ndarray:
-    """Average reflected power at every grid angle (independent of subcarrier)."""
+def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
+    """Average reflected power at every grid angle (independent of
+    subcarrier) of the Frobenius-normalized precoder; invariant under any
+    nonzero rescaling of the precoder."""
     theta = np.asarray(theta, dtype=complex)
     if not is_unit_modulus(theta):
         raise ValueError("phase coefficients must have unit modulus")
@@ -230,17 +229,8 @@ def average_power_pattern(theta, precoder, stats: ChannelStats,
         raise ValueError("phase vector length must match the surface size")
     if grid.num_ris_elements != m:
         raise ValueError("grid was built for a different surface size")
-    return _pattern_unchecked(theta, _as_precoder(precoder), stats, grid)
-
-
-def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
-    """Average pattern of the Frobenius-normalized precoder; invariant under
-    any nonzero rescaling of the precoder."""
-    w = _as_precoder(precoder)
-    wnorm2 = float(np.vdot(w, w).real)
-    if wnorm2 == 0.0:
-        raise ValueError("precoder must be nonzero")
-    return average_power_pattern(theta, w, stats, grid) / wnorm2
+    w, wnorm2 = _as_precoder(precoder)
+    return _pattern_unchecked(theta, w, stats, grid) / wnorm2
 
 
 def pattern_cost(theta, precoder, target_values: np.ndarray, target: TargetPattern,
@@ -252,6 +242,6 @@ def pattern_cost(theta, precoder, target_values: np.ndarray, target: TargetPatte
     """
     ybar = normalized_pattern(theta, precoder, stats, grid)
     f = np.asarray(target_values, dtype=float)
-    weights = compute_weights(ybar, f, target, weight_config, grid.angles)
+    weights = compute_weights(ybar, target, weight_config, grid.angles)
     return float(np.sum(weights * (f - ybar) ** 2))
 

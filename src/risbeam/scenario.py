@@ -118,7 +118,7 @@ class OfdmaEvalSpec:
         # the diffuse user paths carry the residual of any finite K-factor
         _check(path, "nlos_paths", lambda: ChannelConfig(self.nlos_paths + 1, 0.0))
         _check(path, "direct_paths", lambda: ChannelConfig(self.direct_paths))
-        _at_least(self, path, 0, "realizations")
+        _at_least(self, path, 1, "realizations")
 
     def coverage_stats(self, k_db: float) -> CoverageStats:
         """Closed-form inputs at Rice factor ``k_db`` with the default flat top."""
@@ -170,8 +170,7 @@ class ScalingProbeSpec:
                     m, math.radians(bw), math.radians(self.center_deg)))
         _check(path, "bs_antennas", lambda: ArrayGeometry(self.bs_antennas))
         _check(path, "paths", lambda: feed_channel(self.paths, None, 0))
-        _at_least(self, path, 0, "num_seeds")
-        _at_least(self, path, 1, "streams")
+        _at_least(self, path, 1, "num_seeds streams")
 
 
 # Smallest size of each random gradcheck instance, in draw order.
@@ -195,7 +194,7 @@ class GradCheckSpec:
 
     def __post_init__(self) -> None:
         path = "scenario.gradcheck"
-        _at_least(self, path, 0, "instances")
+        _at_least(self, path, 1, "instances")
         for name, low in _GRADCHECK_MIN_SIZES:
             _at_least(self, path, low, name)
         _check(path, "oversampling",

@@ -22,13 +22,24 @@ from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
 from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder,
                       _beams, _pattern_scale, _scaled_pattern, compute_weights,
                       grid_steering_rows, normalized_pattern, path_excitations,
-                      pattern_cost, region_masks, target_on_grid)
+                      pattern_cost, region_masks, target_value)
 
 
-def _precoder_gradient(w: np.ndarray, beam_power: np.ndarray, stats: ChannelStats,
-                       f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Precoder gradient from the per-path beam powers |beams|^2 at fixed phases."""
-    wnorm2 = float(np.vdot(w, w).real)
+def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
+                      weights: np.ndarray, grid: AngularGrid, *,
+                      beam_power: np.ndarray | None = None) -> np.ndarray:
+    """Conjugate-coordinate gradient of the fixed-weight cost in the precoder.
+
+    Two terms: a radial component along W from the pattern normalization and
+    a term routing the weighted pattern residual back through the transmit
+    steering stack. A caller that already holds the per-path beam powers
+    |beams|^2 at ``theta`` passes them as ``beam_power``.
+    """
+    w, wnorm2 = _as_precoder(precoder)
+    if beam_power is None:
+        theta = np.asarray(theta, dtype=complex)
+        beam_power = np.abs(_beams(grid_steering_rows(grid), theta, stats)) ** 2
+    f = np.asarray(target_values, dtype=float)
     scale = _pattern_scale(stats)
     ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale, wnorm2)
     radial = (2.0 / wnorm2) * float(np.sum(weights * ybar * (f - ybar))) * w
@@ -36,23 +47,6 @@ def _precoder_gradient(w: np.ndarray, beam_power: np.ndarray, stats: ChannelStat
     bw = stats.bs_departure.conj().T @ w
     routed = (2.0 * scale / wnorm2) * (stats.bs_departure @ ((stats.path_powers * d)[:, None] * bw))
     return radial + routed
-
-
-def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
-                      weights: np.ndarray, grid: AngularGrid) -> np.ndarray:
-    """Conjugate-coordinate gradient of the fixed-weight cost in the precoder.
-
-    Two terms: a radial component along W from the pattern normalization and
-    a term routing the weighted pattern residual back through the transmit
-    steering stack.
-    """
-    w = _as_precoder(precoder)
-    if float(np.vdot(w, w).real) == 0.0:
-        raise ValueError("precoder must be nonzero")
-    theta = np.asarray(theta, dtype=complex)
-    beams = _beams(grid_steering_rows(grid), theta, stats)
-    return _precoder_gradient(w, np.abs(beams) ** 2, stats,
-                              np.asarray(target_values, dtype=float), weights)
 
 
 def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarray,
@@ -66,11 +60,8 @@ def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarr
     at ``theta`` passes them as ``beams`` so they are not built again.
     """
     theta = np.asarray(theta, dtype=complex)
-    w = _as_precoder(precoder)
+    w, wnorm2 = _as_precoder(precoder)
     f = np.asarray(target_values, dtype=float)
-    wnorm2 = float(np.vdot(w, w).real)
-    if wnorm2 == 0.0:
-        raise ValueError("precoder must be nonzero")
     rows = grid_steering_rows(grid)
     if beams is None:
         beams = _beams(rows, theta, stats)
@@ -95,18 +86,16 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
     matrix is renormalized to unit Frobenius norm for free.
     """
     theta = np.asarray(theta, dtype=complex)
-    w0 = _as_precoder(precoder0)
-    if float(np.vdot(w0, w0).real) == 0.0:
-        raise ValueError("starting precoder must be nonzero")
-    f = target_on_grid(target, grid)
+    w0, _ = _as_precoder(precoder0)
     angles = grid.angles
+    f = target_value(target, angles)
     beam_power = np.abs(_beams(grid_steering_rows(grid), theta, stats)) ** 2
     scale = _pattern_scale(stats)
 
     def weighted_fit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale,
                                float(np.vdot(w, w).real))
-        return ybar, compute_weights(ybar, f, target, weight_config, angles)
+        return ybar, compute_weights(ybar, target, weight_config, angles)
 
     def cost(w: np.ndarray) -> float:
         ybar, wts = weighted_fit(w)
@@ -114,7 +103,7 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
 
     def grad(w: np.ndarray) -> np.ndarray:
         _, wts = weighted_fit(w)
-        return _precoder_gradient(w, beam_power, stats, f, wts)
+        return precoder_gradient(w, theta, stats, f, wts, grid, beam_power=beam_power)
 
     result = euclidean_cg_minimize(cost, grad, w0, armijo, grad_tol, cost_tol, max_iters)
     result.point = result.point / np.linalg.norm(result.point)
@@ -183,7 +172,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
                          "increase the beamwidth or the oversampling")
     if num_starts < 1:
         raise ValueError("need at least one start")
-    f = target_on_grid(target, grid)
+    f = target_value(target, grid.angles)
     n_bs = stats.num_bs_antennas
     rows = grid_steering_rows(grid)
     scale = _pattern_scale(stats)
@@ -214,7 +203,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             def grad_theta(th: np.ndarray, _w=w, _chi=chi, _wnorm2=wnorm2) -> np.ndarray:
                 beams = _beams(rows, th, stats)
                 ybar = _scaled_pattern(np.abs(beams) ** 2, _chi, scale, _wnorm2)
-                wts = compute_weights(ybar, f, target, weight_config, grid.angles)
+                wts = compute_weights(ybar, target, weight_config, grid.angles)
                 return phase_gradient(th, _w, stats, f, wts, grid, beams=beams)
 
             t_step = rcg_minimize(cost_theta, grad_theta, theta, armijo,

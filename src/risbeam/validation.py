@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelStats
 from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder,
                       _pattern_unchecked, compute_weights, grid_steering_rows,
-                      normalized_pattern, target_on_grid)
+                      normalized_pattern, target_value)
 from .synthesis import phase_gradient, precoder_gradient
 
 # Perturbed points per batched cost call. On the M <= 8 audit instances the
@@ -66,12 +66,12 @@ def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
 def _dense_excitation(precoder, stats: ChannelStats) -> tuple[np.ndarray, float]:
     """Inner matrix V = A [I o (P B^H W W^H B)] A^H of the quadratic form, by
     explicit dense products, and ||W||^2."""
-    w = _as_precoder(precoder)
+    w, wnorm2 = _as_precoder(precoder)
     bw = stats.bs_departure.conj().T @ w
     gram = bw @ bw.conj().T
     excite = np.diag(np.diag(np.diag(stats.path_powers) @ gram))
     v = stats.ris_arrival @ excite @ stats.ris_arrival.conj().T
-    return v, float(np.vdot(w, w).real)
+    return v, wnorm2
 
 
 def _full_matrix_pattern(theta_matrix: np.ndarray, v: np.ndarray, wnorm2: float,
@@ -119,11 +119,10 @@ def gradient_check(stats: ChannelStats, target: TargetPattern,
       hold to machine precision).
     """
     theta = np.asarray(theta, dtype=complex)
-    w = _as_precoder(precoder)
-    f = target_on_grid(target, grid)
+    w, wnorm2 = _as_precoder(precoder)
+    f = target_value(target, grid.angles)
     ybar = normalized_pattern(theta, w, stats, grid)
-    weights = compute_weights(ybar, f, target, weight_config, grid.angles)
-    wnorm2 = float(np.vdot(w, w).real)
+    weights = compute_weights(ybar, target, weight_config, grid.angles)
 
     # each cost maps a stack of points to one fixed-weight cost per point
     def fit(y: np.ndarray) -> np.ndarray:

@@ -138,20 +138,14 @@ class TestSamplePaths:
         np.testing.assert_allclose(p.mean_powers, 0.2, atol=1e-12)
         assert p.mean_powers.sum() == 1.0
 
-    def test_custom_profile(self):
-        cfg = ChannelConfig(num_paths=3, power_profile=(3.0, 1.0, 1.0))
-        p = sample_paths(cfg, 4)
-        np.testing.assert_allclose(p.mean_powers, [0.6, 0.2, 0.2], atol=1e-12)
-
     def test_fixed_angles_and_los_pinning(self):
         arr = (0.3, 0.5, 0.9)
         dep = (1.0, 1.5, 2.0)
-        cfg = ChannelConfig(num_paths=3, k_factor_db=0.0,
-                            angle_distribution=(arr, dep), los_departure=2.5)
+        # the fixed lists also fix the line-of-sight path (index 0)
+        cfg = ChannelConfig(num_paths=3, k_factor_db=0.0, angle_distribution=(arr, dep))
         p = sample_paths(cfg, 5)
         np.testing.assert_allclose(p.arrival_angles, arr)
-        assert p.departure_angles[0] == 2.5
-        np.testing.assert_allclose(p.departure_angles[1:], dep[1:])
+        np.testing.assert_allclose(p.departure_angles, dep)
 
     def test_taps_within_spread(self):
         cfg = ChannelConfig(num_paths=8, delay_spread_taps=3)
@@ -189,8 +183,7 @@ class TestSamplePaths:
         ChannelConfig(num_paths=3, k_factor_db=2.0, delay_spread_taps=5),
         ChannelConfig(num_paths=2, delay_spread_taps=3),
         ChannelConfig(num_paths=3, k_factor_db=0.0, angle_distribution=((0.3, 0.5, 0.9),
-                                                                       (1.0, 1.5, 2.0)),
-                      los_departure=2.5),
+                                                                       (1.0, 1.5, 2.0))),
     ])
     def test_single_batched_draw_matches_unbatched(self, cfg):
         one = sample_paths(cfg, 77)
@@ -214,10 +207,9 @@ class TestSamplePaths:
 
     def test_batched_fixed_angles_and_los_pinning(self):
         cfg = ChannelConfig(num_paths=2, k_factor_db=0.0, angle_distribution=((0.3, 0.5),
-                                                                             (1.0, 1.5)),
-                            los_arrival=0.1)
+                                                                             (1.0, 1.5)))
         p = sample_paths(cfg, 5, draws=3)
-        np.testing.assert_array_equal(p.arrival_angles, [[0.1, 0.5]] * 3)
+        np.testing.assert_array_equal(p.arrival_angles, [[0.3, 0.5]] * 3)
         np.testing.assert_array_equal(p.departure_angles, [[1.0, 1.5]] * 3)
 
     def test_zero_draws(self):

@@ -446,6 +446,10 @@ class TestCli:
         # the 40 degree cell around 165 degrees runs past 180 degrees
         ({"scaling": {"center_deg": 165, "beamwidths_deg": [20, 40]}},
          "scenario.scaling.center_deg"),
+        # audits that would check nothing: no Monte Carlo draw, no instance
+        ({"ofdma": {"realizations": 0}}, "scenario.ofdma.realizations"),
+        ({"gradcheck": {"instances": 0}}, "scenario.gradcheck.instances"),
+        ({"scaling": {"num_seeds": 0}}, "scenario.scaling.num_seeds"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
@@ -458,6 +462,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err.split(": ")[1]
         assert not (tmp_path / "o").exists()
+
+    def test_more_streams_than_antennas_runs(self, tmp_path):
+        # a rank-deficient precoder (6 streams on 4 antennas) still defines
+        # the average pattern and the log-det rate, so the config is valid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "optimizer": TINY_OPT, "ris_elements": 16,
+                                   "bs_antennas": 4, "streams": 6}))
+        for command in ("synthesize", "broadcast-cdf"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        design = json.loads((tmp_path / "synthesize" / "result.json").read_text())
+        assert np.shape(design["precoder_real"]) == (4, 6)
+        report = json.loads((tmp_path / "broadcast-cdf" / "report.json").read_text())
+        assert all(math.isfinite(v) for v in report["payload"]["median_rates"].values())
 
     def test_negative_seed_flag_fails_fast(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -7,9 +7,9 @@ from risbeam.channel import (ArrayGeometry, ChannelConfig, channel_stats,
                              sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
-                             _pattern_unchecked, average_power_pattern, compute_weights,
-                             normalized_pattern, pattern_cost, region_masks,
-                             target_on_grid, target_value)
+                             _pattern_unchecked, compute_weights, normalized_pattern,
+                             pattern_cost, region_masks, target_value)
+from risbeam.synthesis import optimize_precoder, phase_gradient, precoder_gradient
 from risbeam.validation import _dense_excitation, _full_matrix_pattern
 
 
@@ -91,14 +91,14 @@ class TestWeights:
         t = _target()
         angles = np.array([0.1])  # sidelobe region
         f = target_value(t, angles)
-        w = compute_weights(f / 2, f, t, WeightConfig(), angles)
+        w = compute_weights(f / 2, t, WeightConfig(), angles)
         assert w[0] == 0.0
 
     def test_sidelobe_above_target_included(self):
         t = _target()
         angles = np.array([0.1])
         f = target_value(t, angles)
-        w = compute_weights(f * 2, f, t, WeightConfig(2.0, 3.0, 0.5), angles)
+        w = compute_weights(f * 2, t, WeightConfig(2.0, 3.0, 0.5), angles)
         assert w[0] == 3.0
 
     def test_flat_region_weight_unconditional(self):
@@ -106,14 +106,14 @@ class TestWeights:
         angles = np.array([t.center])
         f = target_value(t, angles)
         for y in (f / 2, f * 2):
-            w = compute_weights(y, f, t, WeightConfig(7.0, 1.0, 0.5), angles)
+            w = compute_weights(y, t, WeightConfig(7.0, 1.0, 0.5), angles)
             assert w[0] == 7.0
 
     def test_equality_boundary_gets_zero(self):
         t = _target()
         angles = np.array([0.1])
         f = target_value(t, angles)
-        assert compute_weights(f.copy(), f, t, WeightConfig(), angles)[0] == 0.0
+        assert compute_weights(f.copy(), t, WeightConfig(), angles)[0] == 0.0
 
     def test_positive_weights_required(self):
         with pytest.raises(ValueError):
@@ -128,6 +128,12 @@ def _instance(seed=0, m=8, n_bs=4, n_d=2, paths=2):
     w = rng.standard_normal((n_bs, n_d)) + 1j * rng.standard_normal((n_bs, n_d))
     w /= np.linalg.norm(w)
     return stats, theta, w, AngularGrid(10, m), rng
+
+
+def _average_pattern(theta, w, stats, grid):
+    """Average pattern of the precoder as given: the normalized pattern
+    times ||W||^2."""
+    return normalized_pattern(theta, w, stats, grid) * np.vdot(w, w).real
 
 
 class TestAveragePowerPattern:
@@ -156,29 +162,24 @@ class TestAveragePowerPattern:
             field = np.einsum("tgl,ld->tgd", rtg, gw) * np.sqrt(n_bs * m)
             acc += m * np.sum(np.abs(field) ** 2, axis=(0, 2))
         mc = acc / draws
-        closed = average_power_pattern(theta, w, stats, grid)
+        closed = _average_pattern(theta, w, stats, grid)
         assert np.max(np.abs(mc - closed)) / np.max(closed) < 0.01
-
-    def test_zero_precoder_zero_pattern(self):
-        stats, theta, w, grid, _ = _instance()
-        y = average_power_pattern(theta, np.zeros_like(w), stats, grid)
-        np.testing.assert_allclose(y, 0.0, atol=1e-30)
 
     def test_nonnegative(self):
         stats, theta, w, grid, _ = _instance(seed=5)
-        assert np.all(average_power_pattern(theta, w, stats, grid) >= 0)
+        assert np.all(_average_pattern(theta, w, stats, grid) >= 0)
 
     def test_rejects_off_circle_phases(self):
         stats, theta, w, grid, _ = _instance()
         with pytest.raises(ValueError):
-            average_power_pattern(theta * 1.5, w, stats, grid)
+            normalized_pattern(theta * 1.5, w, stats, grid)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0, 2 * np.pi))
     def test_global_phase_invariance(self, phi):
         stats, theta, w, grid, _ = _instance(seed=2)
-        y0 = average_power_pattern(theta, w, stats, grid)
-        y1 = average_power_pattern(np.exp(1j * phi) * theta, w, stats, grid)
+        y0 = _average_pattern(theta, w, stats, grid)
+        y1 = _average_pattern(np.exp(1j * phi) * theta, w, stats, grid)
         np.testing.assert_allclose(y0, y1, rtol=1e-11, atol=1e-11 * y0.max())
 
     def test_single_path_conjugate_match_direct_evaluation(self):
@@ -198,7 +199,7 @@ class TestAveragePowerPattern:
         idx = np.arange(m)
         theta = np.exp(1j * np.pi * idx * (np.cos(observe) + np.cos(incident)))
         grid = AngularGrid(10, m)
-        y = average_power_pattern(theta, w, stats, grid)
+        y = _average_pattern(theta, w, stats, grid)
         j = int(np.argmin(np.abs(grid.angles - observe)))
         # direct evaluation at the exact observation angle
         obs = steering_matrix(geom_m, [observe], "arrival_cos_pos")[:, 0]
@@ -214,7 +215,7 @@ class TestAveragePowerPattern:
         # pattern equals the weighted sum of single-feed beams
         stats, theta, w, grid, _ = _instance(seed=7, paths=3)
         m, n_bs = stats.num_ris_elements, stats.num_bs_antennas
-        y = average_power_pattern(theta, w, stats, grid)
+        y = _average_pattern(theta, w, stats, grid)
         rows = steering_matrix(ArrayGeometry(m), grid.angles, "arrival_cos_pos").conj().T
         total = np.zeros(grid.size)
         for l in range(stats.num_paths):
@@ -241,17 +242,17 @@ class TestNormalizedPattern:
         y7 = normalized_pattern(theta, 7.0 * w, stats, grid)
         np.testing.assert_allclose(y1, y7, rtol=1e-12)
 
-    def test_unit_norm_matches_average(self):
-        stats, theta, w, grid, _ = _instance(seed=12)
-        w = w / np.linalg.norm(w)
-        np.testing.assert_allclose(normalized_pattern(theta, w, stats, grid),
-                                   average_power_pattern(theta, w, stats, grid),
-                                   rtol=1e-12)
-
-    def test_zero_precoder_rejected(self):
+    @pytest.mark.parametrize("evaluate", [
+        lambda theta, w, stats, grid, f: normalized_pattern(theta, w, stats, grid),
+        lambda theta, w, stats, grid, f: precoder_gradient(w, theta, stats, f, np.ones_like(f), grid),
+        lambda theta, w, stats, grid, f: phase_gradient(theta, w, stats, f, np.ones_like(f), grid),
+        lambda theta, w, stats, grid, f: optimize_precoder(w, theta, stats, _target(), grid),
+    ], ids=["normalized_pattern", "precoder_gradient", "phase_gradient", "optimize_precoder"])
+    def test_zero_precoder_rejected(self, evaluate):
         stats, theta, w, grid, _ = _instance()
-        with pytest.raises(ValueError):
-            normalized_pattern(theta, np.zeros_like(w), stats, grid)
+        f = target_value(_target(), grid.angles)
+        with pytest.raises(ValueError, match="precoder must be nonzero"):
+            evaluate(theta, np.zeros_like(w), stats, grid, f)
 
     def test_stacked_precoder_rejected(self):
         stats, theta, w, grid, _ = _instance()
@@ -296,6 +297,6 @@ class TestPatternCost:
     def test_nonnegative_random(self):
         stats, theta, w, grid, _ = _instance(seed=15)
         t = _target()
-        f = target_on_grid(t, grid)
+        f = target_value(t, grid.angles)
         assert pattern_cost(theta, w, f, t, WeightConfig(), stats, grid) >= 0.0
 

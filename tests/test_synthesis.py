@@ -10,7 +10,7 @@ from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
                              compute_weights, normalized_pattern,
-                             target_on_grid)
+                             target_value)
 from risbeam.synthesis import (CoverageRegion, flat_top_ripple_db,
                                measure_minus3db_region, optimize_precoder,
                                phase_gradient, precoder_gradient,
@@ -54,9 +54,9 @@ class TestGradients:
         # the normalized cost is scale-invariant, so the radial derivative
         # along W must vanish
         stats, theta, w, grid, target = _instance(seed=8)
-        f = target_on_grid(target, grid)
+        f = target_value(target, grid.angles)
         ybar = normalized_pattern(theta, w, stats, grid)
-        weights = compute_weights(ybar, f, target, WeightConfig(), grid.angles)
+        weights = compute_weights(ybar, target, WeightConfig(), grid.angles)
         g = precoder_gradient(w, theta, stats, f, weights, grid)
         radial = abs(np.vdot(w, g).real)
         assert radial < 1e-8 * np.linalg.norm(g) * np.linalg.norm(w)
@@ -73,7 +73,7 @@ class TestOptimizePrecoder:
         from risbeam.pattern import pattern_cost
         stats, theta, w, grid, target = _instance(seed=10)
         res = optimize_precoder(w, theta, stats, target, grid, max_iters=60)
-        f = target_on_grid(target, grid)
+        f = target_value(target, grid.angles)
         j = pattern_cost(theta, res.point, f, target, WeightConfig(), stats, grid)
         assert j == pytest.approx(res.final_cost, rel=1e-9)
 
