@@ -9,6 +9,7 @@ that determinism contract. Angles are degrees in files, radians internally.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -25,19 +26,24 @@ from .synthesis import CoverageRegion, measure_minus3db_region, predict_shifted_
 from .validation import gradient_check
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.12g}"
+# Rows per formatted block. Past about a hundred rows the per-block call
+# costs nothing measurable; 1024-row blocks raised the synthesis runs' peak
+# RSS by about 0.1 MB (a 1000-row pattern.csv in one block), 256 did not.
+_CSV_BLOCK = 256
+_G = "%.12g"  # same text as format(x, ".12g"), including nan, inf and -0
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict[str, str], rows) -> None:
+    """Write ``rows`` as LF-terminated CSV under a header of the ``columns``
+    names; each column has its printf format ("%s" strings, "%d" integers,
+    ``_G`` floats). Rows stream through in blocks of ``_CSV_BLOCK``, each
+    formatted by one ``%`` operation."""
+    line = ",".join(columns.values()) + "\n"
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
 
 
 def _finish(out_dir: Path, command: str, config: ScenarioConfig, payload: dict,
@@ -89,12 +95,13 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
     angles = grid.angles
 
     _write_csv(out / "pattern.csv",
-               ["angle_deg", "gain_linear", "gain_db", "target_linear", "target_db"],
+               dict.fromkeys(["angle_deg", "gain_linear", "gain_db", "target_linear",
+                              "target_db"], _G),
                ((math.degrees(a), y, 10.0 * np.log10(max(y, 1e-30)),
                  f, 10.0 * np.log10(max(f, 1e-30)))
                 for a, y, f in zip(angles, result.achieved_pattern, result.target_values)))
     trace = result.concatenated_trace()
-    _write_csv(out / "trace.csv", ["iteration", "cost"],
+    _write_csv(out / "trace.csv", {"iteration": "%d", "cost": _G},
                ((i, c) for i, c in enumerate(trace)))
 
     flat_mask, _, _ = region_masks(config.target(), angles)
@@ -123,7 +130,8 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
     if config.batch_channels > 0:
         batch = _batch_patterns(config)
         _write_csv(out / "pattern_stats.csv",
-                   ["angle_deg", "mean_gain_linear", "std_gain_linear", "mean_gain_db"],
+                   dict.fromkeys(["angle_deg", "mean_gain_linear", "std_gain_linear",
+                                  "mean_gain_db"], _G),
                    ((math.degrees(a), m, s, 10.0 * math.log10(max(m, 1e-30)))
                     for a, m, s in zip(angles, batch.mean(axis=0), batch.std(axis=0))))
         payload["batch_channels"] = config.batch_channels
@@ -205,7 +213,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
                for name, vals in zip(names, sorted_rates)}
     # streamed: the paper preset writes about two million rows
     _write_csv(out / "cdf.csv",
-               ["strategy", "rate_bits_per_subcarrier_symbol", "cdf"],
+               {"strategy": "%s", "rate_bits_per_subcarrier_symbol": _G, "cdf": _G},
                ((name, v, (i + 1) / n) for name, vals in zip(names, sorted_rates)
                 for i, v in enumerate(vals.tolist())))
     payload = {
@@ -250,8 +258,8 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir,
             worst = max(worst, rel)
             rows.append((k_db, p_dbm, mc, closed, 100.0 * rel))
     _write_csv(out / "rates.csv",
-               ["k_factor_db", "tx_power_dbm", "mc_rate_bits_per_symbol",
-                "analytic_rate_bits_per_symbol", "rel_err_pct"], rows)
+               dict.fromkeys(["k_factor_db", "tx_power_dbm", "mc_rate_bits_per_symbol",
+                              "analytic_rate_bits_per_symbol", "rel_err_pct"], _G), rows)
     with open(out / "analytic.txt", "w") as fh:
         fh.write("closed-form OFDMA downlink rate (bits per OFDM symbol, "
                  "CP-adjusted, overhead-scaled)\n")
@@ -297,8 +305,9 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
         rows.append((i, m, n_bs, n_d, n_paths, errs["precoder_fd"], errs["phase_fd"],
                      errs["full_matrix_fd"], errs["diag_extraction"]))
     _write_csv(out / "gradcheck.csv",
-               ["instance", "ris_elements", "bs_antennas", "streams", "paths",
-                "precoder_fd", "phase_fd", "full_matrix_fd", "diag_extraction"], rows)
+               {"instance": "%d", "ris_elements": "%d", "bs_antennas": "%d", "streams": "%d",
+                "paths": "%d", "precoder_fd": _G, "phase_fd": _G, "full_matrix_fd": _G,
+                "diag_extraction": _G}, rows)
     fd_worst = max(worst["precoder_fd"], worst["phase_fd"], worst["full_matrix_fd"])
     ok = fd_worst < spec.threshold and worst["diag_extraction"] < 1e-8
     lines = [f"max {k}: {v:.3e}" for k, v in worst.items()]
@@ -375,8 +384,8 @@ def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
         seeds=range(config.seed, config.seed + spec.num_seeds),
         **config.synthesis_kwargs())
     _write_csv(out / "scaling.csv",
-               ["num_elements", "beamwidth_deg", "seed", "target_flat_power",
-                "achieved_flat_mean", "ripple_db"],
+               {"num_elements": "%d", "beamwidth_deg": _G, "seed": "%d",
+                "target_flat_power": _G, "achieved_flat_mean": _G, "ripple_db": _G},
                ((r["num_elements"], math.degrees(r["beamwidth_rad"]), r["seed"],
                  r["target_flat_power"], r["achieved_flat_mean"], r["ripple_db"])
                 for r in rows))

@@ -50,6 +50,12 @@ def _at_least(spec, prefix: str, low: int, names: str) -> None:
                              f"got {getattr(spec, name)}")
 
 
+def _nonempty(spec, prefix: str, names: str) -> None:
+    for name in names.split():
+        if len(getattr(spec, name)) == 0:
+            raise ValueError(f"{prefix}.{name}: must list at least one value")
+
+
 def _positive(spec, prefix: str, names: str) -> None:
     for name in names.split():
         if not getattr(spec, name) > 0:
@@ -113,6 +119,7 @@ class OfdmaEvalSpec:
     def __post_init__(self) -> None:
         path = "scenario.ofdma"
         _check(path, "ris_elements", lambda: ArrayGeometry(self.ris_elements))
+        _nonempty(self, path, "k_sweep_db p_sweep_dbm")
         for k_db in self.k_sweep_db:
             _check(path, "coverage_deg k_sweep_db", lambda: self.coverage_stats(k_db))
         # the diffuse user paths carry the residual of any finite K-factor
@@ -161,6 +168,7 @@ class ScalingProbeSpec:
 
     def __post_init__(self) -> None:
         path = "scenario.scaling"
+        _nonempty(self, path, "element_counts beamwidths_deg")
         for m in self.element_counts:
             _check(path, "element_counts", lambda: ArrayGeometry(m))
             for bw in self.beamwidths_deg:

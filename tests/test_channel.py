@@ -62,6 +62,45 @@ class TestSteeringVector:
                                        steering_matrix(geom, [a], "departure_sin_neg")[:, 0])
 
 
+def _direct_steering(n, angles, convention):
+    """The one-exponential-per-entry steering stack, written out."""
+    sign, trig = {"arrival_cos_neg": (-1.0, np.cos), "arrival_cos_pos": (1.0, np.cos),
+                  "departure_sin_neg": (-1.0, np.sin)}[convention]
+    ramp = sign * np.pi * trig(np.asarray(angles, dtype=float))
+    return np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :])) / np.sqrt(n)
+
+
+class TestSteeringTables:
+    ANGLES = {"flat": np.linspace(0.0, np.pi, 9),
+              "batched": np.random.default_rng(3).uniform(0.0, np.pi, (2, 3, 5))}
+
+    @pytest.mark.parametrize("n", [17, 24, 64, 100, 257])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("shape", ["flat", "batched"])
+    def test_tables_match_direct_exponentials(self, n, convention, shape):
+        angles = self.ANGLES[shape]
+        out = steering_matrix(ArrayGeometry(n), angles, convention)
+        ref = _direct_steering(n, angles, convention)
+        assert out.shape == ref.shape == angles.shape[:-1] + (n, angles.shape[-1])
+        assert out.flags.c_contiguous
+        assert np.max(np.abs(out - ref)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 15, 16])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("shape", ["flat", "batched"])
+    def test_small_arrays_keep_direct_exponentials(self, n, convention, shape):
+        angles = self.ANGLES[shape]
+        out = steering_matrix(ArrayGeometry(n), angles, convention)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, _direct_steering(n, angles, convention))
+
+    def test_empty_angle_sets(self):
+        for n in (4, 100):
+            assert steering_matrix(ArrayGeometry(n), np.empty((0, 3)),
+                                   "arrival_cos_neg").shape == (0, n, 3)
+            assert steering_matrix(ArrayGeometry(n), [], "arrival_cos_neg").shape == (n, 0)
+
+
 class TestArrayGeometry:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -205,6 +205,43 @@ class TestRunSynthesize:
             assert not np.allclose(paths.gains, design.gains)
 
 
+def _reference_csv(header, rows) -> bytes:
+    """CSV text written value by value: strings as they are, integers
+    exactly, everything else through format(x, ".12g")."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".12g")
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3, 1e300, -2.5e-7,
+              np.float64(0.1), 12345678901234.5, np.float32(1.1), 0.0, 2.0 ** 60]
+    INTS = [0, -7, 2 ** 53 + 1, -(2 ** 63), 10 ** 30]
+    NP_INTS = [np.int64(2 ** 62 + 3), np.int32(-5), np.uint64(2 ** 64 - 1), np.int64(0)]
+
+    def _rows(self, count):
+        return [(f"s{i % 3}", self.INTS[i % len(self.INTS)],
+                 self.NP_INTS[i % len(self.NP_INTS)], self.FLOATS[i % len(self.FLOATS)],
+                 self.FLOATS[(i * 7 + 3) % len(self.FLOATS)]) for i in range(count)]
+
+    # zero rows: the header alone
+    @pytest.mark.parametrize("count", [0, 1, harness._CSV_BLOCK - 1, harness._CSV_BLOCK,
+                                       harness._CSV_BLOCK + 1, 2 * harness._CSV_BLOCK + 5])
+    def test_matches_value_by_value_writer(self, tmp_path, count):
+        header = ["name", "py_int", "np_int", "x", "y"]
+        formats = ["%s", "%d", "%d", harness._G, harness._G]
+        rows = self._rows(count)
+        path = tmp_path / "t.csv"
+        # a generator: the writer streams, it never needs len(rows)
+        harness._write_csv(path, dict(zip(header, formats)), (r for r in rows))
+        assert path.read_bytes() == _reference_csv(header, rows)
+
+
 @pytest.fixture(scope="module")
 def cdf_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cdf")
@@ -450,6 +487,11 @@ class TestCli:
         ({"ofdma": {"realizations": 0}}, "scenario.ofdma.realizations"),
         ({"gradcheck": {"instances": 0}}, "scenario.gradcheck.instances"),
         ({"scaling": {"num_seeds": 0}}, "scenario.scaling.num_seeds"),
+        # empty sweeps: a header-only table that reports nothing
+        ({"ofdma": {"k_sweep_db": []}}, "scenario.ofdma.k_sweep_db"),
+        ({"ofdma": {"p_sweep_dbm": []}}, "scenario.ofdma.p_sweep_dbm"),
+        ({"scaling": {"element_counts": []}}, "scenario.scaling.element_counts"),
+        ({"scaling": {"beamwidths_deg": []}}, "scenario.scaling.beamwidths_deg"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"
