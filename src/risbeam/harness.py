@@ -126,6 +126,8 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs = ["pattern.csv", "trace.csv", "result.json"]
+    # after result.json is written: the solver warnings go to report.json only
+    payload["warnings"] = result.solver_warnings()
 
     if config.batch_channels > 0:
         batch = _batch_patterns(config)
@@ -222,6 +224,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
         "realizations": config.realizations,
         "overhead_fraction": overhead_fraction,
         "ripple_db": design.flat_top_ripple_db,
+        "warnings": design.solver_warnings(),
         "no_ris_strategy": "direct channel only, same broad-coverage precoder "
                            "(no instantaneous CSI at the transmitter)",
     }

@@ -130,17 +130,20 @@ class WeightConfig:
             raise ValueError("all region weights must be positive")
 
 
+def _weight_rule(target: TargetPattern, config: WeightConfig, angles: np.ndarray):
+    """``compute_weights`` with the region masks resolved on one angle grid,
+    as a function from the pattern values to the weights."""
+    flat, side, roll = region_masks(target, angles)
+    base = np.zeros(side.shape)
+    base[flat], base[roll] = config.flat_weight, config.rolloff_weight
+    return lambda y: np.where(side & (y > target.sidelobe_power), config.sidelobe_weight, base)
+
+
 def compute_weights(pattern_values: np.ndarray, target: TargetPattern,
                     config: WeightConfig, angles: np.ndarray) -> np.ndarray:
     """Per-sample weights: sidelobe samples already at or below the sidelobe
     floor get weight zero, everything else its region weight."""
-    y = np.asarray(pattern_values, dtype=float)
-    flat, side, roll = region_masks(target, angles)
-    w = np.zeros_like(y)
-    w[flat] = config.flat_weight
-    w[roll] = config.rolloff_weight
-    w[side & (y > target.sidelobe_power)] = config.sidelobe_weight
-    return w
+    return _weight_rule(target, config, angles)(np.asarray(pattern_values, dtype=float))
 
 
 @lru_cache(maxsize=16)
@@ -170,14 +173,14 @@ def _as_precoder(precoder) -> tuple[np.ndarray, float]:
     return w, wnorm2
 
 
-def path_excitations(stats: ChannelStats, w: np.ndarray) -> np.ndarray:
-    """Nonnegative per-path factors chi_l = P_l * ||W^H b_l||^2 of a precoder
-    matrix (N_BS, N_d) or of each matrix in a stack (..., N_BS, N_d).
+def path_excitations(stats: ChannelStats, bw: np.ndarray) -> np.ndarray:
+    """Nonnegative per-path factors chi_l = P_l * ||W^H b_l||^2 from the
+    products B^H W (paths, N_d) of a precoder matrix, or of each matrix in a
+    stack (..., paths, N_d).
 
     These scalars weight the per-path beams whose superposition forms the
     average pattern.
     """
-    bw = stats.bs_departure.conj().T @ w
     return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=-1)
 
 
@@ -213,7 +216,8 @@ def _pattern_unchecked(theta: np.ndarray, w: np.ndarray, stats: ChannelStats,
     so their finite-difference validation needs this unconstrained
     extension."""
     beams = _beams(grid_steering_rows(grid), theta, stats)
-    return _scaled_pattern(np.abs(beams) ** 2, path_excitations(stats, w),
+    return _scaled_pattern(np.abs(beams) ** 2,
+                           path_excitations(stats, stats.bs_departure.conj().T @ w),
                            _pattern_scale(stats), 1.0)
 
 
@@ -233,15 +237,11 @@ def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) 
     return _pattern_unchecked(theta, w, stats, grid) / wnorm2
 
 
-def pattern_cost(theta, precoder, target_values: np.ndarray, target: TargetPattern,
-                 weight_config: WeightConfig, stats: ChannelStats, grid: AngularGrid) -> float:
-    """Weighted squared distance between the normalized pattern and the target.
+def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
+                 weights: np.ndarray) -> float:
+    """Weighted squared distance between a normalized pattern and the target.
 
-    Weights are recomputed from the current pattern (the gradient formulas
-    differentiate with them held fixed).
+    The synthesis recomputes the weights from the current pattern at every
+    evaluation (the gradient formulas differentiate with them held fixed).
     """
-    ybar = normalized_pattern(theta, precoder, stats, grid)
-    f = np.asarray(target_values, dtype=float)
-    weights = compute_weights(ybar, target, weight_config, grid.angles)
-    return float(np.sum(weights * (f - ybar) ** 2))
-
+    return float((weights * (target_values - pattern_values) ** 2).sum())

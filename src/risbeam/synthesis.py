@@ -4,9 +4,11 @@ The weighted pattern-fit cost is minimized by alternating two conjugate
 gradient solvers: a plain Euclidean CG over the precoder and a Riemannian CG
 over the unit-modulus phases, each fed its analytic conjugate-coordinate
 gradient. Weights are refreshed from the current pattern inside every cost
-evaluation but held fixed inside the gradient formulas. Also provides the
-closed-form prediction of how a synthesized flat-top region shifts when the
-incident angle changes.
+evaluation but held fixed inside the gradient formulas. Each inner solve
+owns one cost-and-gradient object that computes what the solve holds fixed
+once and lets the gradient reuse the pattern terms of the accepted point.
+Also provides the closed-form prediction of how a synthesized flat-top
+region shifts when the incident angle changes.
 """
 
 from __future__ import annotations
@@ -19,60 +21,110 @@ import numpy as np
 from .channel import ChannelStats
 from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
                        random_unit_modulus, rcg_minimize)
-from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder,
-                      _beams, _pattern_scale, _scaled_pattern, compute_weights,
-                      grid_steering_rows, normalized_pattern, path_excitations,
-                      pattern_cost, region_masks, target_value)
+from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _beams,
+                      _pattern_scale, _scaled_pattern, _weight_rule, grid_steering_rows,
+                      normalized_pattern, path_excitations, pattern_cost, region_masks,
+                      target_value)
+
+
+class _Solve:
+    """Cost and gradient of one inner solve over what the solve holds fixed:
+    the grid steering rows, pattern scale, target values and weight rule
+    (None when the caller supplies the weights). It remembers the terms of
+    the last point it evaluated, keyed by the point's bytes, and reuses them
+    at that point: the Armijo search returns the last point it costed, and
+    the CG asks for the gradient there."""
+
+    def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
+        self.stats, self.rows = stats, grid_steering_rows(grid)
+        self.scale, self.f = _pattern_scale(stats), np.asarray(target_values, dtype=float)
+        self.weight_rule, self._key = weight_rule, None
+
+    def _terms_at(self, x: np.ndarray) -> tuple:
+        key = x.tobytes()
+        if key != self._key:
+            terms = self.pattern(x)
+            self._key, self._terms = key, (*terms, self.weight_rule(terms[-1]))
+        return self._terms
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.gradient(x, *self._terms_at(x))
+
+
+class _PhaseSolve(_Solve):
+    """The phase solve at a fixed precoder; terms (beams, pattern, weights)."""
+
+    def __init__(self, stats, grid, target_values, weight_rule, precoder):
+        super().__init__(stats, grid, target_values, weight_rule)
+        self.w, self.wnorm2 = _as_precoder(precoder)
+        self.chi = path_excitations(stats, stats.bs_departure.conj().T @ self.w)
+
+    def pattern(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        beams = _beams(self.rows, theta, self.stats)
+        return beams, _scaled_pattern(np.abs(beams) ** 2, self.chi, self.scale, self.wnorm2)
+
+    def cost(self, theta: np.ndarray) -> float:
+        _, ybar, weights = self._terms_at(theta)
+        return pattern_cost(ybar, self.f, weights)
+
+    def gradient(self, _theta, beams, ybar, weights) -> np.ndarray:
+        residual = (weights * (ybar - self.f))[:, None] * beams * self.chi[None, :]
+        # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
+        # transposed view avoids copying the conjugated (grid, M) steering stack
+        routed = self.rows.T @ residual.conj()
+        factor = 2.0 * self.scale / self.wnorm2
+        return factor * (routed * self.stats.ris_arrival).sum(axis=1).conj()
+
+
+class _PrecoderSolve(_Solve):
+    """The precoder solve at fixed phases; terms (||W||^2, B^H W, pattern,
+    weights)."""
+
+    def __init__(self, stats, grid, target_values, weight_rule, theta):
+        super().__init__(stats, grid, target_values, weight_rule)
+        self.beam_power = np.abs(_beams(self.rows, np.asarray(theta, dtype=complex), stats)) ** 2
+        self.bh = stats.bs_departure.conj().T
+
+    def pattern(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        wnorm2, bw = float(np.vdot(w, w).real), self.bh @ w
+        return wnorm2, bw, _scaled_pattern(self.beam_power, path_excitations(self.stats, bw),
+                                           self.scale, wnorm2)
+
+    def cost(self, w: np.ndarray) -> float:
+        _, _, ybar, weights = self._terms_at(w)
+        return float((weights * (self.f - ybar) ** 2).sum())
+
+    def gradient(self, w, wnorm2, bw, ybar, weights) -> np.ndarray:
+        radial = (2.0 / wnorm2) * float((weights * ybar * (self.f - ybar)).sum()) * w
+        d = self.beam_power.T @ (weights * (ybar - self.f))
+        routed = self.stats.bs_departure @ ((self.stats.path_powers * d)[:, None] * bw)
+        return radial + (2.0 * self.scale / wnorm2) * routed
 
 
 def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
-                      weights: np.ndarray, grid: AngularGrid, *,
-                      beam_power: np.ndarray | None = None) -> np.ndarray:
+                      weights: np.ndarray, grid: AngularGrid) -> np.ndarray:
     """Conjugate-coordinate gradient of the fixed-weight cost in the precoder.
 
     Two terms: a radial component along W from the pattern normalization and
     a term routing the weighted pattern residual back through the transmit
-    steering stack. A caller that already holds the per-path beam powers
-    |beams|^2 at ``theta`` passes them as ``beam_power``.
+    steering stack.
     """
-    w, wnorm2 = _as_precoder(precoder)
-    if beam_power is None:
-        theta = np.asarray(theta, dtype=complex)
-        beam_power = np.abs(_beams(grid_steering_rows(grid), theta, stats)) ** 2
-    f = np.asarray(target_values, dtype=float)
-    scale = _pattern_scale(stats)
-    ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale, wnorm2)
-    radial = (2.0 / wnorm2) * float(np.sum(weights * ybar * (f - ybar))) * w
-    d = beam_power.T @ (weights * (ybar - f))
-    bw = stats.bs_departure.conj().T @ w
-    routed = (2.0 * scale / wnorm2) * (stats.bs_departure @ ((stats.path_powers * d)[:, None] * bw))
-    return radial + routed
+    w, _ = _as_precoder(precoder)
+    solve = _PrecoderSolve(stats, grid, target_values, None, theta)
+    return solve.gradient(w, *solve.pattern(w), weights)
 
 
 def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarray,
-                   weights: np.ndarray, grid: AngularGrid, *,
-                   beams: np.ndarray | None = None) -> np.ndarray:
+                   weights: np.ndarray, grid: AngularGrid) -> np.ndarray:
     """Conjugate-coordinate gradient of the fixed-weight cost in the phases.
 
     Equals the diagonal of the unconstrained full-matrix gradient of the
     pattern quadratic form, which is what makes optimizing only the diagonal
-    phase matrix legitimate. A caller that already holds the per-path beams
-    at ``theta`` passes them as ``beams`` so they are not built again.
+    phase matrix legitimate.
     """
     theta = np.asarray(theta, dtype=complex)
-    w, wnorm2 = _as_precoder(precoder)
-    f = np.asarray(target_values, dtype=float)
-    rows = grid_steering_rows(grid)
-    if beams is None:
-        beams = _beams(rows, theta, stats)
-    chi = path_excitations(stats, w)
-    scale = _pattern_scale(stats)
-    ybar = _scaled_pattern(np.abs(beams) ** 2, chi, scale, wnorm2)
-    residual = (weights * (ybar - f))[:, None] * beams * chi[None, :]
-    # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
-    # transposed view avoids copying the conjugated (grid, M) steering stack
-    routed = rows.T @ residual.conj()
-    return (2.0 * scale / wnorm2) * np.sum(routed * stats.ris_arrival, axis=1).conj()
+    solve = _PhaseSolve(stats, grid, target_values, None, precoder)
+    return solve.gradient(theta, *solve.pattern(theta), weights)
 
 
 def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPattern,
@@ -85,27 +137,11 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
     The cost is invariant under rescaling of the precoder, so the returned
     matrix is renormalized to unit Frobenius norm for free.
     """
-    theta = np.asarray(theta, dtype=complex)
     w0, _ = _as_precoder(precoder0)
-    angles = grid.angles
-    f = target_value(target, angles)
-    beam_power = np.abs(_beams(grid_steering_rows(grid), theta, stats)) ** 2
-    scale = _pattern_scale(stats)
-
-    def weighted_fit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ybar = _scaled_pattern(beam_power, path_excitations(stats, w), scale,
-                               float(np.vdot(w, w).real))
-        return ybar, compute_weights(ybar, target, weight_config, angles)
-
-    def cost(w: np.ndarray) -> float:
-        ybar, wts = weighted_fit(w)
-        return float(np.sum(wts * (f - ybar) ** 2))
-
-    def grad(w: np.ndarray) -> np.ndarray:
-        _, wts = weighted_fit(w)
-        return precoder_gradient(w, theta, stats, f, wts, grid, beam_power=beam_power)
-
-    result = euclidean_cg_minimize(cost, grad, w0, armijo, grad_tol, cost_tol, max_iters)
+    solve = _PrecoderSolve(stats, grid, target_value(target, grid.angles),
+                           _weight_rule(target, weight_config, grid.angles), theta)
+    result = euclidean_cg_minimize(solve.cost, solve.grad, w0, armijo, grad_tol, cost_tol,
+                                   max_iters)
     result.point = result.point / np.linalg.norm(result.point)
     return result
 
@@ -116,13 +152,15 @@ class SynthesisResult:
 
     ``outer_cost_trace`` records the cost after every alternation round;
     ``inner_cost_traces`` the per-subproblem traces in execution order
-    (precoder step, phase step, precoder step, ...).
+    (precoder step, phase step, precoder step, ...), and ``inner_statuses``
+    the ``CgResult.status`` of each of those solves.
     """
 
     theta: np.ndarray
     precoder: np.ndarray
     outer_cost_trace: np.ndarray
     inner_cost_traces: tuple
+    inner_statuses: tuple
     achieved_pattern: np.ndarray
     flat_top_ripple_db: float
     grid: AngularGrid
@@ -135,6 +173,15 @@ class SynthesisResult:
         if not self.inner_cost_traces:
             return self.outer_cost_trace
         return np.concatenate(self.inner_cost_traces)
+
+    def solver_warnings(self) -> list[str]:
+        """One line per inner solve that hit its iteration cap or whose line
+        search stalled, e.g. "round 3 theta solve: max_iterations (500
+        iterations)"."""
+        return [f"round {i // 2 + 1} {('precoder', 'theta')[i % 2]} solve: {status} "
+                f"({len(trace) - 1} iterations)" for i, (status, trace)
+                in enumerate(zip(self.inner_statuses, self.inner_cost_traces))
+                if status in ("max_iterations", "line_search_stalled")]
 
 
 def flat_top_ripple_db(pattern: np.ndarray, target: TargetPattern,
@@ -173,9 +220,8 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
     if num_starts < 1:
         raise ValueError("need at least one start")
     f = target_value(target, grid.angles)
+    weight_rule = _weight_rule(target, weight_config, grid.angles)
     n_bs = stats.num_bs_antennas
-    rows = grid_steering_rows(grid)
-    scale = _pattern_scale(stats)
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best: SynthesisResult | None = None
@@ -185,31 +231,19 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         w = rng.standard_normal((n_bs, num_streams)) + 1j * rng.standard_normal((n_bs, num_streams))
         w = w / np.linalg.norm(w)
 
-        cost_now = pattern_cost(theta, w, f, target, weight_config, stats, grid)
+        cost_now = _PhaseSolve(stats, grid, f, weight_rule, w).cost(theta)
         outer_trace = [cost_now]
-        inner_traces = []
+        steps = []
         for _ in range(outer_max_iters):
             w_step = optimize_precoder(w, theta, stats, target, grid, weight_config,
                                        armijo, inner_grad_tol, inner_cost_tol,
                                        inner_max_iters)
             w = w_step.point
-            inner_traces.append(w_step.cost_trace)
-
-            def cost_theta(th: np.ndarray, _w=w) -> float:
-                return pattern_cost(th, _w, f, target, weight_config, stats, grid)
-
-            chi, wnorm2 = path_excitations(stats, w), float(np.vdot(w, w).real)
-
-            def grad_theta(th: np.ndarray, _w=w, _chi=chi, _wnorm2=wnorm2) -> np.ndarray:
-                beams = _beams(rows, th, stats)
-                ybar = _scaled_pattern(np.abs(beams) ** 2, _chi, scale, _wnorm2)
-                wts = compute_weights(ybar, target, weight_config, grid.angles)
-                return phase_gradient(th, _w, stats, f, wts, grid, beams=beams)
-
-            t_step = rcg_minimize(cost_theta, grad_theta, theta, armijo,
+            solve = _PhaseSolve(stats, grid, f, weight_rule, w)
+            t_step = rcg_minimize(solve.cost, solve.grad, theta, armijo,
                                   inner_grad_tol, inner_cost_tol, inner_max_iters)
             theta = t_step.point
-            inner_traces.append(t_step.cost_trace)
+            steps += [w_step, t_step]
 
             cost_new = t_step.final_cost
             rel_drop = (cost_now - cost_new) / max(abs(cost_now), np.finfo(float).tiny)
@@ -222,7 +256,8 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         candidate = SynthesisResult(
             theta=theta, precoder=w / np.linalg.norm(w),
             outer_cost_trace=np.asarray(outer_trace),
-            inner_cost_traces=tuple(inner_traces),
+            inner_cost_traces=tuple(step.cost_trace for step in steps),
+            inner_statuses=tuple(step.status for step in steps),
             achieved_pattern=achieved,
             flat_top_ripple_db=flat_top_ripple_db(achieved, target, grid.angles),
             grid=grid, target_values=f, start_index=start,

@@ -168,6 +168,21 @@ class TestRunSynthesize:
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk["payload"]["ripple_db"] == report["payload"]["ripple_db"]
 
+    def test_warnings_in_report_only(self, syn_run):
+        _, out, report = syn_run
+        assert isinstance(report["payload"]["warnings"], list)
+        assert "warnings" not in json.loads((out / "result.json").read_text())
+
+    def test_capped_solves_reported(self, tmp_path):
+        from risbeam.scenario import OptimizerSpec
+        opt = OptimizerSpec(num_starts=1, inner_max_iters=4, outer_max_iters=2, outer_tol=0.0,
+                            inner_cost_tol=0.0, inner_grad_tol=0.0)
+        config = ScenarioConfig(optimizer=opt, **TINY)
+        report = harness.run_synthesize(config, tmp_path)
+        warnings = report["payload"]["warnings"]
+        assert len(warnings) == 4
+        assert warnings[-1] == "round 2 theta solve: max_iterations (4 iterations)"
+
     def test_ripple_assertion_exit_code(self, tmp_path):
         config = _tiny_config()
         ok = harness.run_synthesize(config, tmp_path / "a", assert_ripple_db=1e9)
@@ -270,6 +285,10 @@ class TestRunBroadcastCdf:
         _, _, report = cdf_run
         med = report["payload"]["median_rates"]
         assert set(med) == {"proposed", "random_phase", "no_ris"}
+
+    def test_warnings_reported(self, cdf_run):
+        _, _, report = cdf_run
+        assert isinstance(report["payload"]["warnings"], list)
 
     def test_zero_trials_clean(self, tmp_path):
         config = _tiny_config(realizations=0)

@@ -279,7 +279,8 @@ class TestPatternCost:
         stats, theta, w, grid, _ = _instance(seed=13)
         t = _target()
         ybar = normalized_pattern(theta, w, stats, grid)
-        assert pattern_cost(theta, w, ybar, t, WeightConfig(), stats, grid) == 0.0
+        weights = compute_weights(ybar, t, WeightConfig(), grid.angles)
+        assert pattern_cost(ybar, ybar, weights) == 0.0
 
     def test_flat_perturbation_quadratic(self):
         stats, theta, w, grid, _ = _instance(seed=14)
@@ -291,12 +292,14 @@ class TestPatternCost:
         delta = 0.37
         f[j] += delta
         cfg = WeightConfig(flat_weight=10.0)
-        cost = pattern_cost(theta, w, f, t, cfg, stats, grid)
+        cost = pattern_cost(ybar, f, compute_weights(ybar, t, cfg, grid.angles))
         assert cost == pytest.approx(10.0 * delta ** 2, rel=1e-9)
 
     def test_nonnegative_random(self):
         stats, theta, w, grid, _ = _instance(seed=15)
         t = _target()
         f = target_value(t, grid.angles)
-        assert pattern_cost(theta, w, f, t, WeightConfig(), stats, grid) >= 0.0
+        ybar = normalized_pattern(theta, w, stats, grid)
+        weights = compute_weights(ybar, t, WeightConfig(), grid.angles)
+        assert pattern_cost(ybar, f, weights) >= 0.0
 

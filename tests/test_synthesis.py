@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
                              channel_stats, sample_paths)
 from risbeam.manifold import random_unit_modulus
-from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
-                             compute_weights, normalized_pattern,
+from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _weight_rule,
+                             compute_weights, normalized_pattern, pattern_cost,
                              target_value)
-from risbeam.synthesis import (CoverageRegion, flat_top_ripple_db,
-                               measure_minus3db_region, optimize_precoder,
-                               phase_gradient, precoder_gradient,
+from risbeam.synthesis import (CoverageRegion, _PhaseSolve, _PrecoderSolve,
+                               flat_top_ripple_db, measure_minus3db_region,
+                               optimize_precoder, phase_gradient, precoder_gradient,
                                predict_shifted_region, synthesize)
 from risbeam.validation import gradient_check
 
@@ -70,11 +71,11 @@ class TestOptimizePrecoder:
         assert abs(np.linalg.norm(res.point) - 1.0) < 1e-12
 
     def test_renormalization_preserves_cost(self):
-        from risbeam.pattern import pattern_cost
         stats, theta, w, grid, target = _instance(seed=10)
         res = optimize_precoder(w, theta, stats, target, grid, max_iters=60)
         f = target_value(target, grid.angles)
-        j = pattern_cost(theta, res.point, f, target, WeightConfig(), stats, grid)
+        ybar = normalized_pattern(theta, res.point, stats, grid)
+        j = pattern_cost(ybar, f, compute_weights(ybar, target, WeightConfig(), grid.angles))
         assert j == pytest.approx(res.final_cost, rel=1e-9)
 
     def test_stationary_start_unchanged(self):
@@ -93,6 +94,111 @@ class TestOptimizePrecoder:
         stats, theta, w, grid, target = _instance(seed=12)
         with pytest.raises(ValueError):
             optimize_precoder(np.zeros_like(w), theta, stats, target, grid)
+
+
+def _solves(seed):
+    """A phase solve and a precoder solve on one instance, their fixed
+    points, and two random points A and B of each."""
+    stats, theta, w, grid, target = _instance(seed=seed, paths=3)
+    rng = np.random.default_rng(seed + 100)
+    f = target_value(target, grid.angles)
+    rule = _weight_rule(target, WeightConfig(), grid.angles)
+    thetas = [random_unit_modulus(theta.size, rng) for _ in range(2)]
+    ws = [rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape) for _ in range(2)]
+    return (stats, grid, target, f, theta, w,
+            _PhaseSolve(stats, grid, f, rule, w), thetas,
+            _PrecoderSolve(stats, grid, f, rule, theta), ws)
+
+
+def _full_cost(theta, w, stats, grid, target, f):
+    ybar = normalized_pattern(theta, w, stats, grid)
+    return pattern_cost(ybar, f, compute_weights(ybar, target, WeightConfig(), grid.angles))
+
+
+def _fresh_weights(theta, w, stats, grid, target):
+    ybar = normalized_pattern(theta, w, stats, grid)
+    return compute_weights(ybar, target, WeightConfig(), grid.angles)
+
+
+class TestSolveObjects:
+    """The per-solve cost and gradient objects against the public functions."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_costs_match_full_evaluation(self, seed):
+        stats, grid, target, f, theta, w, phase, thetas, precoder, ws = _solves(seed)
+        for th in thetas:
+            assert phase.cost(th) == _full_cost(th, w, stats, grid, target, f)
+        for wc in ws:
+            assert precoder.cost(wc) == _full_cost(theta, wc, stats, grid, target, f)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_gradient_never_stale(self, seed):
+        stats, grid, target, f, _, w, solve, (a, b), _, _ = _solves(seed)
+        solve.cost(a)
+        solve.cost(b)
+        for point in (a, b.copy()):
+            expected = phase_gradient(point, w, stats, f,
+                                      _fresh_weights(point, w, stats, grid, target), grid)
+            np.testing.assert_array_equal(solve.grad(point), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_precoder_gradient_never_stale(self, seed):
+        stats, grid, target, f, theta, _, _, _, solve, (a, b) = _solves(seed)
+        solve.cost(a)
+        solve.cost(b)
+        for point in (a, b.copy()):
+            expected = precoder_gradient(point, theta, stats, f,
+                                         _fresh_weights(theta, point, stats, grid, target), grid)
+            np.testing.assert_array_equal(solve.grad(point), expected)
+
+    def test_point_changed_in_place_is_evaluated_again(self):
+        stats, grid, target, f, _, w, solve, (a, b), _, _ = _solves(3)
+        solve.cost(a)
+        a[:] = b
+        expected = phase_gradient(b, w, stats, f, _fresh_weights(b, w, stats, grid, target), grid)
+        np.testing.assert_array_equal(solve.grad(a), expected)
+
+
+def test_pattern_cost_calls_equal_theta_cost_evaluations_plus_starts(monkeypatch):
+    # the benchmark's completeness rule: every phase-cost evaluation calls
+    # pattern.pattern_cost once through a module binding, and synthesize
+    # calls it once more per start for the initial cost
+    import sys
+
+    import risbeam.pattern
+    import risbeam.synthesis as synthesis
+
+    counts = {"pattern_cost": 0, "theta_cost": 0}
+    original = risbeam.pattern.pattern_cost
+
+    def counted_pattern_cost(*args, **kwargs):
+        counts["pattern_cost"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "risbeam" or name.startswith("risbeam.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted_pattern_cost)
+
+    rcg = synthesis.rcg_minimize
+
+    def counting_rcg(cost, *args, **kwargs):
+        def counted_cost(x):
+            counts["theta_cost"] += 1
+            return cost(x)
+        return rcg(counted_cost, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "rcg_minimize", counting_rcg)
+    rng = np.random.default_rng(4)
+    paths = sample_paths(ChannelConfig(num_paths=3, delay_spread_taps=2), rng)
+    stats = channel_stats(paths, ArrayGeometry(12), ArrayGeometry(4))
+    target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                        12 * np.pi / np.deg2rad(50))
+    synthesize(target, stats, num_streams=2, seed=1, num_starts=2, inner_max_iters=8,
+               outer_max_iters=2, inner_cost_tol=0.0, inner_grad_tol=0.0, outer_tol=0.0)
+    assert counts["theta_cost"] > 0
+    assert counts["pattern_cost"] == counts["theta_cost"] + 2
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +233,38 @@ class TestSynthesize:
         np.testing.assert_allclose(res.achieved_pattern, recomputed, rtol=1e-10)
         assert res.flat_top_ripple_db == pytest.approx(
             flat_top_ripple_db(recomputed, target, res.grid.angles))
+
+    def test_statuses_follow_inner_traces(self, small_run):
+        _, _, res = small_run
+        assert len(res.inner_statuses) == len(res.inner_cost_traces)
+        assert set(res.inner_statuses) <= {"cost_tolerance", "gradient_tolerance",
+                                           "max_iterations", "line_search_stalled"}
+
+    def test_capped_solves_warn(self):
+        rng = np.random.default_rng(2)
+        paths = sample_paths(ChannelConfig(num_paths=2, delay_spread_taps=2), rng)
+        stats = channel_stats(paths, ArrayGeometry(12), ArrayGeometry(4))
+        target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                            12 * np.pi / np.deg2rad(50))
+        res = synthesize(target, stats, num_streams=1, seed=0, num_starts=1,
+                         inner_max_iters=3, outer_max_iters=2, inner_cost_tol=0.0,
+                         inner_grad_tol=0.0, outer_tol=0.0)
+        assert res.inner_statuses == ("max_iterations",) * 4
+        assert res.solver_warnings() == [
+            f"round {r} {kind} solve: max_iterations (3 iterations)"
+            for r in (1, 2) for kind in ("precoder", "theta")]
+
+    def test_only_capped_and_stalled_solves_warn(self, small_run):
+        _, _, res = small_run
+        n = len(res.inner_statuses)
+        converged = dataclasses.replace(res, inner_statuses=("cost_tolerance",) * n)
+        assert converged.solver_warnings() == []
+        stalled = dataclasses.replace(
+            res, inner_statuses=("gradient_tolerance", "line_search_stalled")
+            + ("cost_tolerance",) * (n - 2))
+        iterations = len(res.inner_cost_traces[1]) - 1
+        assert stalled.solver_warnings() == [
+            f"round 1 theta solve: line_search_stalled ({iterations} iterations)"]
 
     def test_solution_on_manifold_and_normalized(self, small_run):
         _, _, res = small_run
