@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_factors, channel_stats,
+from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats,
                       freq_gain, sample_paths, steering_matrix)
 from .pattern import TargetPattern, _beams, region_masks
 from .synthesis import synthesize
@@ -113,39 +113,48 @@ def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
     where C^H Theta A (user paths x feed paths) is the surface's array
     factor between the feed and user paths, the beam kernel of the average
     pattern, and s = sqrt(M N_UE) sqrt(N_BS M).
+
+    Each block takes its surface and transmitter steering from one call over
+    its (user, path) angles, so the array factor and B^H W are one matrix
+    product each: C^H is the arrival_cos_neg stack transposed, B^H W = (W^H B)^H.
     """
-    if np.any(feed.tap_indices >= num_subcarriers):
+    if any(np.any(p.tap_indices >= num_subcarriers) for p in (feed, users, direct)):
         raise ValueError("delay taps must be below the subcarrier count")
     w = np.asarray(precoder, dtype=complex)
+    w_h = w.conj().T
     feed_stats = channel_stats(feed, ris, bs)
     feed_bw = feed_stats.bs_departure.conj().T @ w
     # feed path gains at every subcarrier, (N_c, L_feed)
     feed_delta = freq_gain(feed.gains, feed.tap_indices,
                            np.arange(num_subcarriers)[:, None], num_subcarriers)
-    a_ris = math.sqrt(budget.bs_ris_gain * budget.ris_user_gain
-                      * bs.num_elements * ris.num_elements)
-    a_direct = math.sqrt(budget.direct_gain)
+    a_ris = (math.sqrt(budget.bs_ris_gain * budget.ris_user_gain
+                       * bs.num_elements * ris.num_elements)
+             * math.sqrt(ris.num_elements * ue.num_elements))
+    a_direct = math.sqrt(budget.direct_gain) * math.sqrt(bs.num_elements * ue.num_elements)
+
+    def ue_side(scale, paths, block, k):
+        """scale * A_ue diag(d_k) of the block's users, (block, N_UE, paths)."""
+        return (scale * steering_matrix(ue, paths.arrival_angles[block], "departure_sin_neg")
+                * freq_gain(paths.gains[block], paths.tap_indices[block], k,
+                            num_subcarriers)[:, None, :])
+
     subcarriers = np.asarray(subcarriers)
     for start in range(0, subcarriers.shape[0], USER_BLOCK):
         block = slice(start, start + USER_BLOCK)
-        k = subcarriers[block]
-        h = channel_factors(users.draws(block), ris, ue, k, num_subcarriers,
-                            rx_convention="departure_sin_neg",
-                            tx_convention="arrival_cos_pos")
-        d = channel_factors(direct.draws(block), bs, ue, k, num_subcarriers,
-                            rx_convention="departure_sin_neg",
-                            tx_convention="departure_sin_neg")
-        direct_hw = (a_direct * d.scale * d.arrival * d.gains[:, None, :]
-                     @ (d.departure.conj().swapaxes(-1, -2) @ w))
-        user_steer = a_ris * h.scale * h.arrival * h.gains[:, None, :]
-        user_rows = h.departure.conj().swapaxes(-1, -2)
-        fed_bw = feed_delta[k][:, :, None] * feed_bw
+        k = subcarriers[block, None]
+        dep = direct.departure_angles[block]
+        direct_bw = (w_h @ steering_matrix(bs, dep.ravel(), "departure_sin_neg")).conj().T
+        direct_hw = ue_side(a_direct, direct, block, k) @ direct_bw.reshape(dep.shape + (-1,))
+        user_steer = ue_side(a_ris, users, block, k)
+        psi = users.departure_angles[block]
+        user_rows = steering_matrix(ris, psi.ravel(), "arrival_cos_neg").T
+        fed_bw = feed_delta[k[:, 0]][:, :, None] * feed_bw
         out = np.empty((len(thetas),) + direct_hw.shape, dtype=complex)
         for i, theta in enumerate(thetas):
             if theta is None:
                 out[i] = direct_hw
             else:
-                array_factor = _beams(user_rows, theta, feed_stats)
+                array_factor = _beams(user_rows, theta, feed_stats).reshape(psi.shape + (-1,))
                 out[i] = user_steer @ (array_factor @ fed_bw) + direct_hw
         yield block, out
 
@@ -309,7 +318,8 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
     achieved flat-top power; the scaling trends live in the caller's hands.
 
     Each cell's target is ``scaling_cell_target``; the per-cell channel is
-    redrawn from each seed.
+    redrawn from each seed. Each row also lists the synthesis's
+    ``solver_warnings``.
     """
     rows: list[dict] = []
     bs_geom = ArrayGeometry(num_bs_antennas)
@@ -329,5 +339,6 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
                     "target_flat_power": float(target.flat_power),
                     "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
                     "ripple_db": float(result.flat_top_ripple_db),
+                    "warnings": result.solver_warnings(),
                 })
     return rows

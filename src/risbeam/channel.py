@@ -25,11 +25,10 @@ _CONVENTIONS = {
     "departure_sin_neg": (-1.0, np.sin),
 }
 
-# Arrays above this size take their steering phases from two small tables;
+# Arrays above this size build their steering entries by a running product;
 # smaller ones (every UE array, every gradcheck instance) keep the direct
-# exponential, for which the tables cost more than they save.
+# exponential, bit for bit.
 _DIRECT_MAX_ELEMENTS = 16
-_TABLE_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,9 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
     All entries have magnitude 1/sqrt(num_elements).
 
     Up to 16 elements every entry is one complex exponential. Larger arrays
-    write entry m = 8a + b (b < 8) as e^{j*8a*r} * e^{j*b*r} with r the
-    ramp: a table of e^{j*8a*r} and a table of e^{j*b*r} (scaled by
-    1/sqrt(num_elements)) cost about n/8 + 8 exponentials per angle instead
-    of n, and their products go straight into the returned C-contiguous
-    array. The two forms agree to about 1e-14.
+    take one exponential e^{j*r} per angle (r the ramp) and form entry m,
+    e^{j*m*r}/sqrt(n), as a running product down the element axis in the
+    returned C-contiguous array; the forms agree to 1e-14 at 1000 elements.
     """
     angles = np.asarray(angles, dtype=float)
     if not np.all(np.isfinite(angles)):
@@ -78,14 +75,10 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
         out = np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :]))
         out /= np.sqrt(n)
         return out
-    coarse = np.exp(1j * (np.arange(0, n, _TABLE_STEP)[:, None] * ramp[..., None, :]))
-    fine = np.exp(1j * (np.arange(_TABLE_STEP)[:, None] * ramp[..., None, :]))
-    fine /= np.sqrt(n)
     out = np.empty(ramp.shape[:-1] + (n, ramp.shape[-1]), dtype=complex)
-    for b in range(_TABLE_STEP):
-        rows = out[..., b::_TABLE_STEP, :]
-        np.multiply(coarse[..., :rows.shape[-2], :], fine[..., b:b + 1, :], out=rows)
-    return out
+    out[..., 0, :] = 1.0 / np.sqrt(n)
+    out[..., 1:, :] = np.exp(1j * ramp)[..., None, :]
+    return np.cumprod(out, axis=-2, out=out)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -137,15 +130,6 @@ class PathSet:
     @property
     def num_paths(self) -> int:
         return self.gains.shape[-1]
-
-    def draws(self, index) -> "PathSet":
-        """The draws selected by ``index`` (an integer, slice or index array)
-        of a batched PathSet."""
-        if self.gains.ndim != 2:
-            raise ValueError("only a batched PathSet has draws to select")
-        return PathSet(self.gains[index], self.arrival_angles[index],
-                       self.departure_angles[index], self.tap_indices[index],
-                       self.mean_powers)
 
 
 @dataclass(frozen=True)

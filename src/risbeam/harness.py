@@ -370,6 +370,8 @@ def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None
     }
     lines = [f"{k}: {v}" for k, v in payload.items()]
     (out / "beamshift.txt").write_text("\n".join(lines) + "\n")
+    # after beamshift.txt is written: the solver warnings go to report.json only
+    payload["warnings"] = design.solver_warnings()
     return _finish(out, "beamshift", config, payload, ["beamshift.txt"], t0,
                    0 if ok else 1)
 
@@ -402,5 +404,8 @@ def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
              "mean_achieved": float(np.mean(v))}
             for (m, bw), v in sorted(cells.items())
         ],
+        "warnings": [f"cell ({r['num_elements']} elements, "
+                     f"{math.degrees(r['beamwidth_rad']):g} deg, seed {r['seed']}): {line}"
+                     for r in rows for line in r["warnings"]],
     }
     return _finish(out, "scaling-probe", config, payload, ["scaling.csv"], t0)

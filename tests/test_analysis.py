@@ -103,15 +103,21 @@ class TestSubcarrierRates:
             assert rate == pytest.approx(math.log2(np.linalg.det(gram).real), abs=1e-12)
 
 
+def _draw(paths, u):
+    """Draw ``u`` of a batched PathSet as a PathSet of its own."""
+    return PathSet(paths.gains[u], paths.arrival_angles[u], paths.departure_angles[u],
+                   paths.tap_indices[u], paths.mean_powers)
+
+
 def _dense_precoded(thetas, w, feed, users, direct, subcarriers, n_c, ris, bs, ue, budget):
     """H_eq W per user from the dense channel matrices (the reference)."""
     out = np.empty((len(thetas), len(subcarriers), ue.num_elements, w.shape[1]), dtype=complex)
     for u, k in enumerate(subcarriers):
         g = assemble_channel(feed, bs, ris, k, n_c)
-        h = assemble_channel(users.draws(u), ris, ue, k, n_c,
+        h = assemble_channel(_draw(users, u), ris, ue, k, n_c,
                              rx_convention="departure_sin_neg",
                              tx_convention="arrival_cos_pos")
-        hd = assemble_channel(direct.draws(u), bs, ue, k, n_c,
+        hd = assemble_channel(_draw(direct, u), bs, ue, k, n_c,
                               rx_convention="departure_sin_neg",
                               tx_convention="departure_sin_neg")
         for i, theta in enumerate(thetas):
@@ -124,8 +130,16 @@ def _dense_precoded(thetas, w, feed, users, direct, subcarriers, n_c, ris, bs, u
 class TestPrecodedChannels:
     @pytest.mark.parametrize("n_users", [0, USER_BLOCK // 2, USER_BLOCK, 2 * USER_BLOCK + 3])
     def test_factored_matches_dense(self, n_users):
+        self._check_against_dense(n_users, 12, 6)
+
+    def test_factored_matches_dense_large_arrays(self):
+        # surface and transmitter above 16 elements take the recurrence steering
+        self._check_against_dense(USER_BLOCK + 5, 40, 24)
+
+    @staticmethod
+    def _check_against_dense(n_users, m, n_bs):
         rng = np.random.default_rng(40 + n_users)
-        n_c, m, n_bs, n_ue, n_d = 8, 12, 6, 3, 2
+        n_c, n_ue, n_d = 8, 3, 2
         ris, bs, ue = ArrayGeometry(m), ArrayGeometry(n_bs), ArrayGeometry(n_ue)
         feed = sample_paths(ChannelConfig(3, k_factor_db=0.0, delay_spread_taps=n_c - 1), rng)
         users = sample_paths(ChannelConfig(4, k_factor_db=10.0, delay_spread_taps=n_c - 1),
@@ -149,6 +163,19 @@ class TestPrecodedChannels:
         for f, d in zip(fact, dense):
             if n_users:
                 assert np.max(np.abs(f - d)) <= 1e-10 * np.max(np.abs(d))
+
+    def test_user_and_direct_taps_beyond_band_rejected(self):
+        feed = PathSet([1.0], [0.4], [1.2], [0], [1.0])
+        ok = sample_paths(ChannelConfig(2), 1, draws=USER_BLOCK + 8)
+        taps = np.zeros_like(ok.tap_indices)
+        taps[-1, 0] = 4  # one late path, in the last block
+        late = PathSet(ok.gains, ok.arrival_angles, ok.departure_angles, taps, ok.mean_powers)
+        for users, direct in ((late, ok), (ok, late)):
+            with pytest.raises(ValueError, match="delay taps"):
+                next(precoded_channels((None,), np.eye(2), feed, users, direct,
+                                       np.zeros(USER_BLOCK + 8, dtype=int), 4,
+                                       ArrayGeometry(4), ArrayGeometry(2), ArrayGeometry(2),
+                                       _budget()))
 
     def test_feed_taps_beyond_band_rejected(self):
         feed = PathSet([1.0], [0.4], [1.2], [20], [1.0])

@@ -70,14 +70,14 @@ def _direct_steering(n, angles, convention):
     return np.exp(1j * (np.arange(n)[:, None] * ramp[..., None, :])) / np.sqrt(n)
 
 
-class TestSteeringTables:
+class TestSteeringRecurrence:
     ANGLES = {"flat": np.linspace(0.0, np.pi, 9),
               "batched": np.random.default_rng(3).uniform(0.0, np.pi, (2, 3, 5))}
 
-    @pytest.mark.parametrize("n", [17, 24, 64, 100, 257])
+    @pytest.mark.parametrize("n", [17, 24, 64, 100, 257, 1000])
     @pytest.mark.parametrize("convention", CONVENTIONS)
     @pytest.mark.parametrize("shape", ["flat", "batched"])
-    def test_tables_match_direct_exponentials(self, n, convention, shape):
+    def test_recurrence_matches_direct_exponentials(self, n, convention, shape):
         angles = self.ANGLES[shape]
         out = steering_matrix(ArrayGeometry(n), angles, convention)
         ref = _direct_steering(n, angles, convention)
@@ -93,6 +93,25 @@ class TestSteeringTables:
         out = steering_matrix(ArrayGeometry(n), angles, convention)
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, _direct_steering(n, angles, convention))
+
+    @pytest.mark.parametrize("n", [4, 17, 64, 100, 1000])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_flattened_angles_match_stacked_call(self, n, convention):
+        # one call over the flattened (draw, path) angles gives, column for
+        # column, the same bits as the stacked call
+        angles = self.ANGLES["batched"]
+        stacked = steering_matrix(ArrayGeometry(n), angles, convention)
+        flat = steering_matrix(ArrayGeometry(n), angles.ravel(), convention)
+        assert flat.shape == (n, angles.size)
+        np.testing.assert_array_equal(flat.T.reshape(angles.shape + (n,)),
+                                      stacked.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", [4, 17, 100])
+    def test_negative_cos_ramp_is_exact_conjugate(self, n):
+        angles = self.ANGLES["batched"]
+        np.testing.assert_array_equal(
+            steering_matrix(ArrayGeometry(n), angles, "arrival_cos_pos").conj(),
+            steering_matrix(ArrayGeometry(n), angles, "arrival_cos_neg"))
 
     def test_empty_angle_sets(self):
         for n in (4, 100):
@@ -124,13 +143,10 @@ class TestPathSet:
     def test_batched_shapes_checked(self):
         ok = PathSet(np.ones((2, 1)), [[0.1], [0.2]], [[0.3], [0.4]], [[0], [1]], [1.0])
         assert ok.num_paths == 1
-        assert ok.draws(slice(1, 2)).tap_indices.tolist() == [[1]]
         with pytest.raises(ValueError):  # angles must follow the draw axis
             PathSet(np.ones((2, 1)), [0.1], [[0.3], [0.4]], [[0], [1]], [1.0])
         with pytest.raises(ValueError):  # mean powers are per path, not per draw
             PathSet(np.ones((2, 1)), [[0.1], [0.2]], [[0.3], [0.4]], [[0], [1]], [[1.0], [1.0]])
-        with pytest.raises(ValueError):
-            PathSet([1.0], [0.1], [0.2], [0], [1.0]).draws(0)
 
 
 class TestSamplePaths:
@@ -232,8 +248,6 @@ class TestSamplePaths:
         for name in ("gains", "arrival_angles", "departure_angles", "tap_indices"):
             assert np.array_equal(getattr(batch, name)[0], getattr(one, name)), name
         assert np.array_equal(batch.mean_powers, one.mean_powers)
-        drawn = batch.draws(0)
-        assert np.array_equal(drawn.gains, one.gains)
 
     def test_batched_rician_empirical_powers(self):
         # same construction and 1% bound as test_rician_empirical_powers
@@ -317,7 +331,9 @@ class TestAssembleChannel:
         batch = assemble_channel(p, tx, rx, ks, 16)
         assert batch.shape == (4, 3, 5)
         for i, k in enumerate(ks):
-            np.testing.assert_array_equal(batch[i], assemble_channel(p.draws(i), tx, rx, k, 16))
+            one = PathSet(p.gains[i], p.arrival_angles[i], p.departure_angles[i],
+                          p.tap_indices[i], p.mean_powers)
+            np.testing.assert_array_equal(batch[i], assemble_channel(one, tx, rx, k, 16))
         with pytest.raises(ValueError, match="single draw"):
             time_domain_channel(p, tx, rx, 16)
 

@@ -17,6 +17,9 @@ TINY = dict(
     users=8, realizations=3, subcarriers=16, cp_length=2, seed=11,
 )
 TINY_OPT = dict(num_starts=1, inner_max_iters=100, outer_max_iters=8)
+# every inner solve runs into its 4-iteration cap
+CAPPED_OPT = dict(num_starts=1, inner_max_iters=4, outer_max_iters=2, outer_tol=0.0,
+                  inner_cost_tol=0.0, inner_grad_tol=0.0)
 
 
 def _opt():
@@ -175,9 +178,7 @@ class TestRunSynthesize:
 
     def test_capped_solves_reported(self, tmp_path):
         from risbeam.scenario import OptimizerSpec
-        opt = OptimizerSpec(num_starts=1, inner_max_iters=4, outer_max_iters=2, outer_tol=0.0,
-                            inner_cost_tol=0.0, inner_grad_tol=0.0)
-        config = ScenarioConfig(optimizer=opt, **TINY)
+        config = ScenarioConfig(optimizer=OptimizerSpec(**CAPPED_OPT), **TINY)
         report = harness.run_synthesize(config, tmp_path)
         warnings = report["payload"]["warnings"]
         assert len(warnings) == 4
@@ -428,6 +429,15 @@ class TestRunBeamshift:
         np.testing.assert_allclose(report["payload"]["predicted_region_deg"],
                                    report["payload"]["design_region_deg"], atol=1e-9)
 
+    def test_capped_solves_reported(self, tmp_path):
+        config = ScenarioConfig.from_dict({"seed": 7, "optimizer": CAPPED_OPT,
+                                           "beamshift": {"ris_elements": 16}})
+        report = harness.run_beamshift(config, tmp_path)
+        warnings = report["payload"]["warnings"]
+        assert len(warnings) == 4
+        assert warnings[-1] == "round 2 theta solve: max_iterations (4 iterations)"
+        assert "warnings" not in (tmp_path / "beamshift.txt").read_text()
+
 
 class TestRunScalingProbe:
     def test_table_shape(self, tmp_path):
@@ -443,6 +453,20 @@ class TestRunScalingProbe:
         lines = (tmp_path / "scaling.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # one cell, two seeds
         assert len(report["payload"]["cell_means"]) == 1
+
+    def test_capped_solves_reported_per_cell(self, tmp_path):
+        config = ScenarioConfig.from_dict({
+            "seed": 2, "optimizer": CAPPED_OPT,
+            "scaling": {"element_counts": [16], "beamwidths_deg": [40.0],
+                        "num_seeds": 2, "paths": 2, "streams": 1, "bs_antennas": 8},
+        })
+        report = harness.run_scaling_probe(config, tmp_path)
+        warnings = report["payload"]["warnings"]
+        assert len(warnings) == 8  # two seeds, two rounds of two solves each
+        assert warnings[3] == ("cell (16 elements, 40 deg, seed 2): "
+                               "round 2 theta solve: max_iterations (4 iterations)")
+        assert warnings[7].startswith("cell (16 elements, 40 deg, seed 3): round 2 theta")
+        assert "warnings" not in (tmp_path / "scaling.csv").read_text()
 
 
 class TestCli:
