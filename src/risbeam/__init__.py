@@ -11,9 +11,9 @@ rates against their closed-form predictions.
 """
 
 from .channel import (ArrayGeometry, ChannelConfig, ChannelStats, PathSet,
-                      assemble_channel, channel_factors, channel_stats,
-                      freq_gain, path_loss_linear, sample_paths,
-                      steering_matrix, time_domain_channel)
+                      assemble_channel, channel_stats, freq_gain,
+                      path_loss_linear, sample_paths, steering_matrix,
+                      time_domain_channel)
 from .pattern import (AngularGrid, TargetPattern, WeightConfig,
                       compute_weights, grid_steering_rows, normalized_pattern,
                       pattern_cost, region_masks, target_value)

@@ -10,6 +10,10 @@ surface phases theta and the transmit precoder W:
 with A/B the stacked steering vectors, P the diagonal of mean path powers,
 and `o` the Hadamard product. The pattern is identical at every subcarrier,
 so a single (theta, W) pair serves the whole OFDM band.
+
+The form is evaluated in one place, the per-solve objects ``_PhaseSolve``
+and ``_PrecoderSolve``, shared by ``normalized_pattern``, the synthesis
+solvers and the finite-difference audit.
 """
 
 from __future__ import annotations
@@ -148,9 +152,10 @@ def compute_weights(pattern_values: np.ndarray, target: TargetPattern,
 
 @lru_cache(maxsize=16)
 def _grid_steering_rows(oversampling: int, num_elements: int) -> np.ndarray:
-    """Rows a(phi_j)^H of the grid steering stack, shape (grid, M). Cached."""
+    """Rows a(phi_j)^H of the +cos grid steering stack, shape (grid, M): a
+    transposed view of the -cos stack, its exact conjugate. Cached."""
     grid = AngularGrid(oversampling, num_elements)
-    rows = steering_matrix(ArrayGeometry(num_elements), grid.angles, "arrival_cos_pos").conj().T
+    rows = steering_matrix(ArrayGeometry(num_elements), grid.angles, "arrival_cos_neg").T
     rows.flags.writeable = False
     return rows
 
@@ -184,12 +189,6 @@ def path_excitations(stats: ChannelStats, bw: np.ndarray) -> np.ndarray:
     return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=-1)
 
 
-def _pattern_scale(stats: ChannelStats) -> float:
-    """Constant factor M^2 * N_BS of the average pattern."""
-    m = stats.num_ris_elements
-    return float(m * m * stats.num_bs_antennas)
-
-
 def _beams(rows: np.ndarray, theta: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """Per-path beams a(phi_j)^H diag(theta) a_l, shape (..., grid, paths)
     for phases of shape (..., M).
@@ -201,24 +200,11 @@ def _beams(rows: np.ndarray, theta: np.ndarray, stats: ChannelStats) -> np.ndarr
 
 
 def _scaled_pattern(beam_power: np.ndarray, chi: np.ndarray, scale: float,
-                    wnorm2: float) -> np.ndarray:
+                    wnorm2) -> np.ndarray:
     """Pattern scale * |beams|^2 @ chi / ||W||^2 from the per-path beam powers
     (..., grid, paths) and excitations (..., paths); leading stack axes
-    broadcast."""
+    broadcast, and a stack of precoders gives ||W||^2 as (..., 1)."""
     return scale * (beam_power @ chi[..., None])[..., 0] / wnorm2
-
-
-def _pattern_unchecked(theta: np.ndarray, w: np.ndarray, stats: ChannelStats,
-                       grid: AngularGrid) -> np.ndarray:
-    """Pattern quadratic form without the unit-modulus check, for phases
-    (..., M) and precoder matrices (..., N_BS, N_d) whose stack axes
-    broadcast; the synthesis gradients are derived for free complex theta,
-    so their finite-difference validation needs this unconstrained
-    extension."""
-    beams = _beams(grid_steering_rows(grid), theta, stats)
-    return _scaled_pattern(np.abs(beams) ** 2,
-                           path_excitations(stats, stats.bs_departure.conj().T @ w),
-                           _pattern_scale(stats), 1.0)
 
 
 def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
@@ -233,8 +219,7 @@ def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) 
         raise ValueError("phase vector length must match the surface size")
     if grid.num_ris_elements != m:
         raise ValueError("grid was built for a different surface size")
-    w, wnorm2 = _as_precoder(precoder)
-    return _pattern_unchecked(theta, w, stats, grid) / wnorm2
+    return _PhaseSolve(stats, grid, None, None, precoder).pattern(theta)[1]
 
 
 def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
@@ -245,3 +230,85 @@ def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
     evaluation (the gradient formulas differentiate with them held fixed).
     """
     return float((weights * (target_values - pattern_values) ** 2).sum())
+
+
+class _Solve:
+    """Cost and gradient of one inner solve over what the solve holds fixed:
+    the grid steering rows, pattern scale M^2 * N_BS, target values and
+    weight rule (either may be None for a caller that supplies the weights
+    or only wants the pattern). It remembers the terms of the last point it
+    evaluated, keyed by the point's bytes, and reuses them at that point:
+    the Armijo search returns the last point it costed, and the CG asks for
+    the gradient there."""
+
+    def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
+        m = stats.num_ris_elements
+        self.stats, self.rows = stats, grid_steering_rows(grid)
+        self.scale = float(m * m * stats.num_bs_antennas)
+        self.f = None if target_values is None else np.asarray(target_values, dtype=float)
+        self.weight_rule, self._key = weight_rule, None
+
+    def _terms_at(self, x: np.ndarray) -> tuple:
+        key = x.tobytes()
+        if key != self._key:
+            terms = self.pattern(x)
+            self._key, self._terms = key, (*terms, self.weight_rule(terms[-1]))
+        return self._terms
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.gradient(x, *self._terms_at(x))
+
+
+class _PhaseSolve(_Solve):
+    """The phase solve at a fixed precoder; terms (beams, pattern, weights).
+    ``pattern`` takes phases (M,) or a stack (..., M), unit-modulus or not:
+    the gradients are derived for free complex phases."""
+
+    def __init__(self, stats, grid, target_values, weight_rule, precoder):
+        super().__init__(stats, grid, target_values, weight_rule)
+        self.w, self.wnorm2 = _as_precoder(precoder)
+        self.chi = path_excitations(stats, stats.bs_departure.conj().T @ self.w)
+
+    def pattern(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        beams = _beams(self.rows, theta, self.stats)
+        return beams, _scaled_pattern(np.abs(beams) ** 2, self.chi, self.scale, self.wnorm2)
+
+    def cost(self, theta: np.ndarray) -> float:
+        _, ybar, weights = self._terms_at(theta)
+        return pattern_cost(ybar, self.f, weights)
+
+    def gradient(self, _theta, beams, ybar, weights) -> np.ndarray:
+        residual = (weights * (ybar - self.f))[:, None] * beams * self.chi[None, :]
+        # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
+        # transposed view avoids copying the conjugated (grid, M) steering stack
+        routed = self.rows.T @ residual.conj()
+        factor = 2.0 * self.scale / self.wnorm2
+        return factor * (routed * self.stats.ris_arrival).sum(axis=1).conj()
+
+
+class _PrecoderSolve(_Solve):
+    """The precoder solve at fixed phases; terms (||W||^2, B^H W, pattern,
+    weights). ``pattern`` also takes a stack (..., N_BS, N_d), whose
+    ||W||^2 come as (..., 1)."""
+
+    def __init__(self, stats, grid, target_values, weight_rule, theta):
+        super().__init__(stats, grid, target_values, weight_rule)
+        self.beam_power = np.abs(_beams(self.rows, np.asarray(theta, dtype=complex), stats)) ** 2
+        self.bh = stats.bs_departure.conj().T
+
+    def pattern(self, w: np.ndarray) -> tuple:
+        wnorm2 = (float(np.vdot(w, w).real) if w.ndim == 2
+                  else np.sum(np.abs(w) ** 2, axis=(-2, -1))[..., None])
+        bw = self.bh @ w
+        return wnorm2, bw, _scaled_pattern(self.beam_power, path_excitations(self.stats, bw),
+                                           self.scale, wnorm2)
+
+    def cost(self, w: np.ndarray) -> float:
+        _, _, ybar, weights = self._terms_at(w)
+        return float((weights * (self.f - ybar) ** 2).sum())
+
+    def gradient(self, w, wnorm2, bw, ybar, weights) -> np.ndarray:
+        radial = (2.0 / wnorm2) * float((weights * ybar * (self.f - ybar)).sum()) * w
+        d = self.beam_power.T @ (weights * (ybar - self.f))
+        routed = self.stats.bs_departure @ ((self.stats.path_powers * d)[:, None] * bw)
+        return radial + (2.0 * self.scale / wnorm2) * routed

@@ -5,8 +5,9 @@ gradient solvers: a plain Euclidean CG over the precoder and a Riemannian CG
 over the unit-modulus phases, each fed its analytic conjugate-coordinate
 gradient. Weights are refreshed from the current pattern inside every cost
 evaluation but held fixed inside the gradient formulas. Each inner solve
-owns one cost-and-gradient object that computes what the solve holds fixed
-once and lets the gradient reuse the pattern terms of the accepted point.
+owns one cost-and-gradient object of ``pattern`` (``_PhaseSolve``,
+``_PrecoderSolve``) that computes what the solve holds fixed once and lets
+the gradient reuse the pattern terms of the accepted point.
 Also provides the closed-form prediction of how a synthesized flat-top
 region shifts when the incident angle changes.
 """
@@ -21,84 +22,9 @@ import numpy as np
 from .channel import ChannelStats
 from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
                        random_unit_modulus, rcg_minimize)
-from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _beams,
-                      _pattern_scale, _scaled_pattern, _weight_rule, grid_steering_rows,
-                      normalized_pattern, path_excitations, pattern_cost, region_masks,
+from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _PhaseSolve,
+                      _PrecoderSolve, _weight_rule, normalized_pattern, region_masks,
                       target_value)
-
-
-class _Solve:
-    """Cost and gradient of one inner solve over what the solve holds fixed:
-    the grid steering rows, pattern scale, target values and weight rule
-    (None when the caller supplies the weights). It remembers the terms of
-    the last point it evaluated, keyed by the point's bytes, and reuses them
-    at that point: the Armijo search returns the last point it costed, and
-    the CG asks for the gradient there."""
-
-    def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
-        self.stats, self.rows = stats, grid_steering_rows(grid)
-        self.scale, self.f = _pattern_scale(stats), np.asarray(target_values, dtype=float)
-        self.weight_rule, self._key = weight_rule, None
-
-    def _terms_at(self, x: np.ndarray) -> tuple:
-        key = x.tobytes()
-        if key != self._key:
-            terms = self.pattern(x)
-            self._key, self._terms = key, (*terms, self.weight_rule(terms[-1]))
-        return self._terms
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient(x, *self._terms_at(x))
-
-
-class _PhaseSolve(_Solve):
-    """The phase solve at a fixed precoder; terms (beams, pattern, weights)."""
-
-    def __init__(self, stats, grid, target_values, weight_rule, precoder):
-        super().__init__(stats, grid, target_values, weight_rule)
-        self.w, self.wnorm2 = _as_precoder(precoder)
-        self.chi = path_excitations(stats, stats.bs_departure.conj().T @ self.w)
-
-    def pattern(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        beams = _beams(self.rows, theta, self.stats)
-        return beams, _scaled_pattern(np.abs(beams) ** 2, self.chi, self.scale, self.wnorm2)
-
-    def cost(self, theta: np.ndarray) -> float:
-        _, ybar, weights = self._terms_at(theta)
-        return pattern_cost(ybar, self.f, weights)
-
-    def gradient(self, _theta, beams, ybar, weights) -> np.ndarray:
-        residual = (weights * (ybar - self.f))[:, None] * beams * self.chi[None, :]
-        # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
-        # transposed view avoids copying the conjugated (grid, M) steering stack
-        routed = self.rows.T @ residual.conj()
-        factor = 2.0 * self.scale / self.wnorm2
-        return factor * (routed * self.stats.ris_arrival).sum(axis=1).conj()
-
-
-class _PrecoderSolve(_Solve):
-    """The precoder solve at fixed phases; terms (||W||^2, B^H W, pattern,
-    weights)."""
-
-    def __init__(self, stats, grid, target_values, weight_rule, theta):
-        super().__init__(stats, grid, target_values, weight_rule)
-        self.beam_power = np.abs(_beams(self.rows, np.asarray(theta, dtype=complex), stats)) ** 2
-        self.bh = stats.bs_departure.conj().T
-
-    def pattern(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        wnorm2, bw = float(np.vdot(w, w).real), self.bh @ w
-        return wnorm2, bw, _scaled_pattern(self.beam_power, path_excitations(self.stats, bw),
-                                           self.scale, wnorm2)
-
-    def cost(self, w: np.ndarray) -> float:
-        _, _, ybar, weights = self._terms_at(w)
-        return float((weights * (self.f - ybar) ** 2).sum())
-
-    def gradient(self, w, wnorm2, bw, ybar, weights) -> np.ndarray:
-        radial = (2.0 / wnorm2) * float((weights * ybar * (self.f - ybar)).sum()) * w
-        d = self.beam_power.T @ (weights * (ybar - self.f))
-        routed = self.stats.bs_departure @ ((self.stats.path_powers * d)[:, None] * bw)
-        return radial + (2.0 * self.scale / wnorm2) * routed
 
 
 def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
@@ -278,10 +204,6 @@ class CoverageRegion:
     def __post_init__(self) -> None:
         if not (0.0 <= self.phi_min < self.phi_max <= np.pi):
             raise ValueError("need 0 <= phi_min < phi_max <= pi")
-
-    @property
-    def width(self) -> float:
-        return self.phi_max - self.phi_min
 
 
 def predict_shifted_region(region: CoverageRegion, incident_from: float,

@@ -4,7 +4,7 @@ Central finite differences over the real and imaginary parts of each entry
 approximate the conjugate-coordinate gradient of a real cost: for f(z) real,
 grad_conj f = (df/dRe + j*df/dIm) / 2. The perturbed points go to the cost
 as stacks, so one batched call evaluates a whole block of them; the phase
-and precoder costs run through the same pattern kernel as the synthesis.
+and precoder costs run through the per-solve pattern objects of ``pattern``.
 The pattern cost is also evaluated with a full (unstructured) phase matrix
 through an independent dense quadratic form, both by finite differences and
 in closed form, to check that the diagonal of the full-matrix gradient
@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelStats
-from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder,
-                      _pattern_unchecked, compute_weights, grid_steering_rows,
-                      normalized_pattern, target_value)
+from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _PhaseSolve,
+                      _PrecoderSolve, compute_weights, grid_steering_rows, normalized_pattern,
+                      target_value)
 from .synthesis import phase_gradient, precoder_gradient
 
 # Perturbed points per batched cost call. On the M <= 8 audit instances the
@@ -123,17 +123,18 @@ def gradient_check(stats: ChannelStats, target: TargetPattern,
     f = target_value(target, grid.angles)
     ybar = normalized_pattern(theta, w, stats, grid)
     weights = compute_weights(ybar, target, weight_config, grid.angles)
+    phases = _PhaseSolve(stats, grid, None, None, w)
+    precoders = _PrecoderSolve(stats, grid, None, None, theta)
 
     # each cost maps a stack of points to one fixed-weight cost per point
     def fit(y: np.ndarray) -> np.ndarray:
         return np.sum(weights * (f - y) ** 2, axis=-1)
 
     def cost_of_precoders(wc: np.ndarray) -> np.ndarray:
-        y = _pattern_unchecked(theta, wc, stats, grid)
-        return fit(y / np.sum(np.abs(wc) ** 2, axis=(-2, -1))[:, None])
+        return fit(precoders.pattern(wc)[2])
 
     def cost_of_phases(th: np.ndarray) -> np.ndarray:
-        return fit(_pattern_unchecked(th, w, stats, grid) / wnorm2)
+        return fit(phases.pattern(th)[1])
 
     def cost_of_matrices(tm: np.ndarray) -> np.ndarray:
         return fit(_full_matrix_pattern(tm, v, wnorm2, stats, grid))

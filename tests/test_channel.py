@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
-                             assemble_channel, channel_factors, channel_stats,
+                             assemble_channel, channel_stats,
                              freq_gain, path_loss_linear, sample_paths,
                              steering_matrix, time_domain_channel)
 
@@ -74,7 +74,7 @@ class TestSteeringRecurrence:
     ANGLES = {"flat": np.linspace(0.0, np.pi, 9),
               "batched": np.random.default_rng(3).uniform(0.0, np.pi, (2, 3, 5))}
 
-    @pytest.mark.parametrize("n", [17, 24, 64, 100, 257, 1000])
+    @pytest.mark.parametrize("n", [1, 4, 8, 15, 16, 17, 24, 64, 100, 257, 1000])
     @pytest.mark.parametrize("convention", CONVENTIONS)
     @pytest.mark.parametrize("shape", ["flat", "batched"])
     def test_recurrence_matches_direct_exponentials(self, n, convention, shape):
@@ -84,15 +84,6 @@ class TestSteeringRecurrence:
         assert out.shape == ref.shape == angles.shape[:-1] + (n, angles.shape[-1])
         assert out.flags.c_contiguous
         assert np.max(np.abs(out - ref)) < 1e-13
-
-    @pytest.mark.parametrize("n", [1, 4, 8, 15, 16])
-    @pytest.mark.parametrize("convention", CONVENTIONS)
-    @pytest.mark.parametrize("shape", ["flat", "batched"])
-    def test_small_arrays_keep_direct_exponentials(self, n, convention, shape):
-        angles = self.ANGLES[shape]
-        out = steering_matrix(ArrayGeometry(n), angles, convention)
-        assert out.flags.c_contiguous
-        np.testing.assert_array_equal(out, _direct_steering(n, angles, convention))
 
     @pytest.mark.parametrize("n", [4, 17, 64, 100, 1000])
     @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -313,16 +304,22 @@ class TestAssembleChannel:
         p = _random_paths(rng, 3, 7)
         tx, rx = ArrayGeometry(6), ArrayGeometry(4)
         h = assemble_channel(p, tx, rx, 5, 32)
-        f = channel_factors(p, tx, rx, 5, 32)
-        rebuilt = f.scale * f.arrival @ np.diag(f.gains) @ f.departure.conj().T
+        arrival = steering_matrix(rx, p.arrival_angles, "arrival_cos_neg")
+        departure = steering_matrix(tx, p.departure_angles, "departure_sin_neg")
+        gains = freq_gain(p.gains, p.tap_indices, 5, 32)
+        rebuilt = math.sqrt(6 * 4) * arrival @ np.diag(gains) @ departure.conj().T
         assert np.max(np.abs(h - rebuilt)) < 1e-12 * np.max(np.abs(h))
 
     def test_dc_subcarrier_has_unit_tap_phases(self):
         rng = np.random.default_rng(9)
         p = _random_paths(rng, 4, 7)
-        f = channel_factors(p, ArrayGeometry(4), ArrayGeometry(4), 0, 16)
-        # every tap phase is 1 at DC, so the frequency gains are the path gains
-        np.testing.assert_allclose(f.gains, p.gains, rtol=0, atol=1e-15)
+        undelayed = PathSet(p.gains, p.arrival_angles, p.departure_angles,
+                            np.zeros_like(p.tap_indices), p.mean_powers)
+        geom = ArrayGeometry(4)
+        # every tap phase is 1 at DC, so the delays leave the channel unchanged
+        np.testing.assert_allclose(assemble_channel(p, geom, geom, 0, 16),
+                                   assemble_channel(undelayed, geom, geom, 0, 16),
+                                   rtol=0, atol=1e-15)
 
     def test_batched_draws_match_single_draws(self):
         p = sample_paths(ChannelConfig(3, k_factor_db=3.0, delay_spread_taps=7), 2, draws=4)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from risbeam.channel import (ArrayGeometry, ChannelConfig, channel_stats,
                              sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
-from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig,
-                             _pattern_unchecked, compute_weights, normalized_pattern,
+from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _PhaseSolve,
+                             _PrecoderSolve, compute_weights, normalized_pattern,
                              pattern_cost, region_masks, target_value)
 from risbeam.synthesis import optimize_precoder, phase_gradient, precoder_gradient
 from risbeam.validation import _dense_excitation, _full_matrix_pattern
@@ -266,12 +266,15 @@ class TestNormalizedPattern:
                                 + 1j * rng.standard_normal((5, theta.size)))
         ws = w + 0.1 * (rng.standard_normal((5,) + w.shape)
                         + 1j * rng.standard_normal((5,) + w.shape))
-        np.testing.assert_array_equal(
-            _pattern_unchecked(thetas, w, stats, grid),
-            [_pattern_unchecked(th, w, stats, grid) for th in thetas])
-        np.testing.assert_array_equal(
-            _pattern_unchecked(theta, ws, stats, grid),
-            [_pattern_unchecked(theta, wc, stats, grid) for wc in ws])
+        solve = _PhaseSolve(stats, grid, None, None, w)
+        np.testing.assert_array_equal(solve.pattern(thetas)[1],
+                                      [solve.pattern(th)[1] for th in thetas])
+        precoders = _PrecoderSolve(stats, grid, None, None, theta)
+        stacked = precoders.pattern(ws)[2]
+        np.testing.assert_array_equal(stacked, [precoders.pattern(wc[None])[2][0] for wc in ws])
+        # a stack item's ||W||^2 is summed, a single precoder's is a vdot
+        np.testing.assert_allclose(stacked, [normalized_pattern(theta, wc, stats, grid)
+                                             for wc in ws], rtol=1e-12)
 
 
 class TestPatternCost:

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
                              channel_stats, sample_paths)
 from risbeam.manifold import random_unit_modulus
-from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _weight_rule,
-                             compute_weights, normalized_pattern, pattern_cost,
-                             target_value)
-from risbeam.synthesis import (CoverageRegion, _PhaseSolve, _PrecoderSolve,
-                               flat_top_ripple_db, measure_minus3db_region,
+from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _PhaseSolve,
+                             _PrecoderSolve, _weight_rule, compute_weights,
+                             normalized_pattern, pattern_cost, target_value)
+from risbeam.synthesis import (CoverageRegion, flat_top_ripple_db, measure_minus3db_region,
                                optimize_precoder, phase_gradient, precoder_gradient,
                                predict_shifted_region, synthesize)
 from risbeam.validation import gradient_check
