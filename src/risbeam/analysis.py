@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats,
                       freq_gain, sample_paths, steering_matrix)
-from .pattern import TargetPattern, _beams, region_masks
+from .pattern import TargetPattern, region_masks
 from .synthesis import synthesize
 
 # Users per block of `precoded_channels`: bounds its (block, M, paths)
@@ -154,7 +154,10 @@ def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
             if theta is None:
                 out[i] = direct_hw
             else:
-                array_factor = _beams(user_rows, theta, feed_stats).reshape(psi.shape + (-1,))
+                # scaling the (M, paths) arrival stack, not the rows, costs
+                # M * paths multiplies and leaves a narrower product
+                array_factor = (user_rows @ (theta[:, None] * feed_stats.ris_arrival)).reshape(
+                    psi.shape + (-1,))
                 out[i] = user_steer @ (array_factor @ fed_bw) + direct_hw
         yield block, out
 

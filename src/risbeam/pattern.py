@@ -11,9 +11,12 @@ with A/B the stacked steering vectors, P the diagonal of mean path powers,
 and `o` the Hadamard product. The pattern is identical at every subcarrier,
 so a single (theta, W) pair serves the whole OFDM band.
 
-The form is evaluated in one place, the per-solve objects ``_PhaseSolve``
-and ``_PrecoderSolve``, shared by ``normalized_pattern``, the synthesis
-solvers and the finite-difference audit.
+It is evaluated in lag space: the beam power of a path's aperture
+y = theta o a_l at u = cos(phi) is the cosine series
+(c_0 + 2 sum_{k>=1} Re(c_k e^{-j pi k u})) / M in its lags
+c_k = sum_m y_{m+k} conj(y_m). ``_PhaseSolve`` and ``_PrecoderSolve`` sum
+the paths' lags and take one real product with a cached table over half the
+grid (u_{G-j} = -u_j); ``validation`` keeps the dense steering rows.
 """
 
 from __future__ import annotations
@@ -165,6 +168,31 @@ def grid_steering_rows(grid: AngularGrid) -> np.ndarray:
     return _grid_steering_rows(grid.oversampling, grid.num_ris_elements)
 
 
+@lru_cache(maxsize=16)
+def _lag_table(oversampling: int, num_elements: int) -> np.ndarray:
+    """cos and sin of pi k u_j weighted as in the beam-power series (1/M at
+    lag 0, 2/M after) for the lags k < M at the first G//2 + 1 grid angles,
+    shape (2, G//2 + 1, M); the other angles mirror them. Cached."""
+    grid = AngularGrid(oversampling, num_elements)
+    arg = np.outer(np.pi * np.cos(grid.angles[:grid.size // 2 + 1]), np.arange(num_elements))
+    table = (2.0 / num_elements) * np.stack((np.cos(arg), np.sin(arg)))
+    table[0, :, 0] = 1.0 / num_elements
+    table.flags.writeable = False
+    return table
+
+
+def _path_lags(theta: np.ndarray, arrival: np.ndarray) -> np.ndarray:
+    """Lags c_k, k < M, of the apertures theta o a_l, shape (..., paths, M) for
+    phases (..., M): one BLAS dot per lag with a shifted view of the aperture
+    padded with M zeros, so no (M, M) array is formed."""
+    m = theta.shape[-1]
+    padded = np.zeros(theta.shape[:-1] + (arrival.shape[1], 2 * m), complex)
+    np.multiply(theta[..., None, :], arrival.T, out=padded[..., :m])
+    shifted = np.ndarray(padded.shape[:-1] + (m, m), complex, padded,
+                         strides=padded.strides[:-1] + 2 * padded.strides[-1:])
+    return np.vecdot(padded[..., None, :m], shifted)
+
+
 def _as_precoder(precoder) -> tuple[np.ndarray, float]:
     """The precoder as a nonzero (N_BS, N_d) matrix, and ||W||^2."""
     w = np.asarray(precoder, dtype=complex)
@@ -186,25 +214,7 @@ def path_excitations(stats: ChannelStats, bw: np.ndarray) -> np.ndarray:
     These scalars weight the per-path beams whose superposition forms the
     average pattern.
     """
-    return stats.path_powers * np.sum(np.abs(bw) ** 2, axis=-1)
-
-
-def _beams(rows: np.ndarray, theta: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """Per-path beams a(phi_j)^H diag(theta) a_l, shape (..., grid, paths)
-    for phases of shape (..., M).
-
-    Scaling the (M, paths) arrival stack before the product costs M * paths
-    multiplies instead of grid * M, and leaves a narrower matrix product.
-    """
-    return rows @ (theta[..., :, None] * stats.ris_arrival)
-
-
-def _scaled_pattern(beam_power: np.ndarray, chi: np.ndarray, scale: float,
-                    wnorm2) -> np.ndarray:
-    """Pattern scale * |beams|^2 @ chi / ||W||^2 from the per-path beam powers
-    (..., grid, paths) and excitations (..., paths); leading stack axes
-    broadcast, and a stack of precoders gives ||W||^2 as (..., 1)."""
-    return scale * (beam_power @ chi[..., None])[..., 0] / wnorm2
+    return stats.path_powers * (np.abs(bw) ** 2).sum(axis=-1)
 
 
 def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) -> np.ndarray:
@@ -219,7 +229,7 @@ def normalized_pattern(theta, precoder, stats: ChannelStats, grid: AngularGrid) 
         raise ValueError("phase vector length must match the surface size")
     if grid.num_ris_elements != m:
         raise ValueError("grid was built for a different surface size")
-    return _PhaseSolve(stats, grid, None, None, precoder).pattern(theta)[1]
+    return _PhaseSolve(stats, grid, None, None, precoder).pattern(theta)[0]
 
 
 def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
@@ -234,19 +244,33 @@ def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
 
 class _Solve:
     """Cost and gradient of one inner solve over what the solve holds fixed:
-    the grid steering rows, pattern scale M^2 * N_BS, target values and
+    the lag table of the grid, pattern scale M^2 * N_BS, target values and
     weight rule (either may be None for a caller that supplies the weights
     or only wants the pattern). It remembers the terms of the last point it
     evaluated, keyed by the point's bytes, and reuses them at that point:
     the Armijo search returns the last point it costed, and the CG asks for
-    the gradient there."""
+    the gradient there. Both solves form the pattern in ``_series``, so
+    they agree bit for bit."""
 
     def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
         m = stats.num_ris_elements
-        self.stats, self.rows = stats, grid_steering_rows(grid)
+        self.stats, self.size = stats, grid.size
+        self.table = _lag_table(grid.oversampling, grid.num_ris_elements)
         self.scale = float(m * m * stats.num_bs_antennas)
         self.f = None if target_values is None else np.asarray(target_values, dtype=float)
         self.weight_rule, self._key = weight_rule, None
+
+    def _series(self, excitation: np.ndarray, lags: np.ndarray) -> np.ndarray:
+        """Pattern sum_l excitation_l |b_jl|^2, shape (..., G), of the summed
+        per-path lags (..., paths, M): the half table's even (cos) and odd
+        (sin) parts add on its angles and subtract on the mirror. Clipped at
+        0, as a null may round a few ulps below it."""
+        c = (excitation[..., None, :] @ lags)[..., 0, :]
+        parts = self.table @ c.view(float).reshape(c.shape + (2,)).swapaxes(-1, -2)[..., None]
+        even, odd = parts[..., 0, :, 0], parts[..., 1, :, 0]
+        mirrored = self.size - self.table.shape[1]
+        y = np.concatenate((even + odd, (even - odd)[..., mirrored:0:-1]), axis=-1)
+        return np.maximum(y, 0.0, out=y)
 
     def _terms_at(self, x: np.ndarray) -> tuple:
         key = x.tobytes()
@@ -260,48 +284,70 @@ class _Solve:
 
 
 class _PhaseSolve(_Solve):
-    """The phase solve at a fixed precoder; terms (beams, pattern, weights).
-    ``pattern`` takes phases (M,) or a stack (..., M), unit-modulus or not:
-    the gradients are derived for free complex phases."""
+    """The phase solve at a fixed precoder, which fixes the path weights
+    scale * chi_l / ||W||^2; terms (pattern, weights). ``pattern`` takes
+    phases (M,) or a stack (..., M), unit-modulus or not: the gradients are
+    derived for free complex phases."""
 
     def __init__(self, stats, grid, target_values, weight_rule, precoder):
         super().__init__(stats, grid, target_values, weight_rule)
-        self.w, self.wnorm2 = _as_precoder(precoder)
-        self.chi = path_excitations(stats, stats.bs_departure.conj().T @ self.w)
+        w, wnorm2 = _as_precoder(precoder)
+        bw = stats.bs_departure.conj().T @ w
+        self.excitation = self.scale / wnorm2 * path_excitations(stats, bw)
 
-    def pattern(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        beams = _beams(self.rows, theta, self.stats)
-        return beams, _scaled_pattern(np.abs(beams) ** 2, self.chi, self.scale, self.wnorm2)
+    def pattern(self, theta: np.ndarray) -> tuple[np.ndarray]:
+        return (self._series(self.excitation, _path_lags(theta, self.stats.ris_arrival)),)
 
     def cost(self, theta: np.ndarray) -> float:
-        _, ybar, weights = self._terms_at(theta)
+        ybar, weights = self._terms_at(theta)
         return pattern_cost(ybar, self.f, weights)
 
-    def gradient(self, _theta, beams, ybar, weights) -> np.ndarray:
-        residual = (weights * (ybar - self.f))[:, None] * beams * self.chi[None, :]
-        # rows^H @ residual, as the conjugate of rows^T @ conj(residual): the
-        # transposed view avoids copying the conjugated (grid, M) steering stack
-        routed = self.rows.T @ residual.conj()
-        factor = 2.0 * self.scale / self.wnorm2
-        return factor * (routed * self.stats.ris_arrival).sum(axis=1).conj()
+    @cached_property
+    def k_transposed(self) -> np.ndarray:
+        """K^T of K = A diag(excitation) A^H, the pattern's quadratic form in theta."""
+        a = self.stats.ris_arrival
+        return (a.conj() * self.excitation) @ a.T
+
+    def gradient(self, theta, ybar, weights) -> np.ndarray:
+        # t_k = sum_j rho_j (d |b_j|^2 / d c_k), rho folded onto the half table
+        rho = weights * (ybar - self.f)
+        half = self.table.shape[1]
+        mirror = np.zeros(half)
+        mirror[1:self.size - half + 1] = rho[:half - 1:-1]
+        t = (rho[:half] + mirror) @ self.table[0] + 1j * ((rho[:half] - mirror) @ self.table[1])
+        # grad_p = sum_n s_{p-n} K_{n,p} theta_n, s_d = 2 t_d (t_0 has half weight),
+        # s_{-d} = conj(s_d): Toeplitz. A row-major product sums each row in
+        # one thread, whatever the BLAS threads
+        t[0] *= 2.0
+        symbol = np.concatenate((t[:0:-1].conj(), t))
+        step, m = symbol.itemsize, t.size
+        toeplitz = np.ndarray((m, m), complex, symbol, offset=(m - 1) * step,
+                              strides=(step, -step))
+        return (toeplitz * self.k_transposed) @ theta
 
 
 class _PrecoderSolve(_Solve):
-    """The precoder solve at fixed phases; terms (||W||^2, B^H W, pattern,
+    """The precoder solve at fixed phases, which fix the per-path lags and
+    beam powers |b_jl|^2 (grid, paths); terms (||W||^2, B^H W, pattern,
     weights). ``pattern`` also takes a stack (..., N_BS, N_d), whose
     ||W||^2 come as (..., 1)."""
 
     def __init__(self, stats, grid, target_values, weight_rule, theta):
         super().__init__(stats, grid, target_values, weight_rule)
-        self.beam_power = np.abs(_beams(self.rows, np.asarray(theta, dtype=complex), stats)) ** 2
+        self.lags = _path_lags(np.asarray(theta, dtype=complex), stats.ris_arrival)
         self.bh = stats.bs_departure.conj().T
+
+    @cached_property
+    def beam_power(self) -> np.ndarray:
+        """|b_jl|^2, shape (grid, paths): the series of each path's lags alone."""
+        return self._series(np.eye(self.stats.num_paths), self.lags).T
 
     def pattern(self, w: np.ndarray) -> tuple:
         wnorm2 = (float(np.vdot(w, w).real) if w.ndim == 2
-                  else np.sum(np.abs(w) ** 2, axis=(-2, -1))[..., None])
+                  else (np.abs(w) ** 2).sum(axis=(-2, -1))[..., None])
         bw = self.bh @ w
-        return wnorm2, bw, _scaled_pattern(self.beam_power, path_excitations(self.stats, bw),
-                                           self.scale, wnorm2)
+        return wnorm2, bw, self._series(self.scale / wnorm2 * path_excitations(self.stats, bw),
+                                        self.lags)
 
     def cost(self, w: np.ndarray) -> float:
         _, _, ybar, weights = self._terms_at(w)

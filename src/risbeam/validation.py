@@ -82,7 +82,7 @@ def _full_matrix_pattern(theta_matrix: np.ndarray, v: np.ndarray, wnorm2: float,
     Re sum_k ((rows T) V)_jk conj(rows T)_jk so no (grid, grid) matrix is
     built."""
     rt = grid_steering_rows(grid) @ theta_matrix
-    reflected = np.sum((rt @ v) * rt.conj(), axis=-1).real
+    reflected = ((rt @ v) * rt.conj()).sum(axis=-1).real
     m = stats.num_ris_elements
     return m * m * stats.num_bs_antennas * reflected / wnorm2
 
@@ -128,13 +128,13 @@ def gradient_check(stats: ChannelStats, target: TargetPattern,
 
     # each cost maps a stack of points to one fixed-weight cost per point
     def fit(y: np.ndarray) -> np.ndarray:
-        return np.sum(weights * (f - y) ** 2, axis=-1)
+        return (weights * (f - y) ** 2).sum(axis=-1)
 
     def cost_of_precoders(wc: np.ndarray) -> np.ndarray:
         return fit(precoders.pattern(wc)[2])
 
     def cost_of_phases(th: np.ndarray) -> np.ndarray:
-        return fit(phases.pattern(th)[1])
+        return fit(phases.pattern(th)[0])
 
     def cost_of_matrices(tm: np.ndarray) -> np.ndarray:
         return fit(_full_matrix_pattern(tm, v, wnorm2, stats, grid))

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risbeam.channel import (ArrayGeometry, ChannelConfig, channel_stats,
+from risbeam.channel import (ArrayGeometry, ChannelConfig, ChannelStats, channel_stats,
                              sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _PhaseSolve,
-                             _PrecoderSolve, compute_weights, normalized_pattern,
-                             pattern_cost, region_masks, target_value)
-from risbeam.synthesis import optimize_precoder, phase_gradient, precoder_gradient
-from risbeam.validation import _dense_excitation, _full_matrix_pattern
+                             _PrecoderSolve, compute_weights, grid_steering_rows,
+                             normalized_pattern, path_excitations, pattern_cost, region_masks,
+                             target_value)
+from risbeam.synthesis import (measure_minus3db_region, optimize_precoder, phase_gradient,
+                               precoder_gradient)
+from risbeam.validation import _dense_excitation, _full_matrix_pattern, relative_error
 
 
 def _target():
@@ -267,14 +269,75 @@ class TestNormalizedPattern:
         ws = w + 0.1 * (rng.standard_normal((5,) + w.shape)
                         + 1j * rng.standard_normal((5,) + w.shape))
         solve = _PhaseSolve(stats, grid, None, None, w)
-        np.testing.assert_array_equal(solve.pattern(thetas)[1],
-                                      [solve.pattern(th)[1] for th in thetas])
+        np.testing.assert_array_equal(solve.pattern(thetas)[0],
+                                      [solve.pattern(th)[0] for th in thetas])
         precoders = _PrecoderSolve(stats, grid, None, None, theta)
         stacked = precoders.pattern(ws)[2]
         np.testing.assert_array_equal(stacked, [precoders.pattern(wc[None])[2][0] for wc in ws])
         # a stack item's ||W||^2 is summed, a single precoder's is a vdot
         np.testing.assert_allclose(stacked, [normalized_pattern(theta, wc, stats, grid)
                                              for wc in ws], rtol=1e-12)
+
+    def test_null_on_the_grid_is_not_negative(self):
+        # one endfire path on a two-element surface with equal phases has an
+        # exact null at pi/2, a grid angle; unclipped, the series rounds it to
+        # about -5e-32, which the -3 dB measurement rejects
+        arrival = steering_matrix(ArrayGeometry(2), np.array([0.0]), "arrival_cos_neg")
+        stats = ChannelStats(arrival, np.ones((1, 1)), np.ones(1))
+        grid, theta, w = AngularGrid(2, 2), np.ones(2, dtype=complex), np.ones((1, 1))
+        ybar = normalized_pattern(theta, w, stats, grid)
+        assert ybar[2] == 0.0 and np.all(ybar >= 0.0)
+        np.testing.assert_array_equal(_PrecoderSolve(stats, grid, None, None, theta).pattern(w)[2],
+                                      ybar)
+        lo, hi = measure_minus3db_region(grid.angles, ybar)
+        assert lo < hi
+
+
+class TestLagKernel:
+    """The lag-domain series of the solves against the dense products with
+    the (grid, M) steering rows: beams rows @ (theta o A), the phase gradient
+    routed back through rows^H, and the per-path beam powers |beams|^2 with
+    the precoder pattern and gradient they give."""
+
+    # odd grids (3 x 17, 3 x 257) leave no self-mirrored angle at pi/2
+    @pytest.mark.parametrize("oversampling, m", [(10, 4), (3, 17), (8, 17), (10, 32),
+                                                 (10, 100), (3, 257), (2, 257)])
+    def test_matches_dense_steering_rows(self, oversampling, m):
+        stats, theta, w, _, rng = _instance(seed=m, m=m, n_bs=4, paths=3)
+        grid = AngularGrid(oversampling, m)
+        rows = grid_steering_rows(grid)
+        f = rng.uniform(0.0, 2.0 * m, grid.size)
+        weights = rng.uniform(0.0, 10.0, grid.size)
+        solve = _PhaseSolve(stats, grid, f, None, w)
+        bw = stats.bs_departure.conj().T @ w
+        chi = path_excitations(stats, bw)
+        wnorm2 = np.vdot(w, w).real
+        factor = m * m * stats.num_bs_antennas / wnorm2
+        free = theta + 0.3 * (rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)))
+        for th in (theta, *free):
+            beams = rows @ (th[:, None] * stats.ris_arrival)
+            beam_power = np.abs(beams) ** 2
+            dense = factor * (beam_power @ chi)
+            ybar, = solve.pattern(th)
+            assert relative_error(ybar, dense) <= 1e-12
+            residual = (weights * (ybar - f))[:, None] * beams * chi
+            dense_grad = 2.0 * factor * np.sum(
+                stats.ris_arrival.conj() * (rows.conj().T @ residual), axis=1)
+            assert relative_error(solve.gradient(th, ybar, weights), dense_grad) <= 1e-12
+            precoders = _PrecoderSolve(stats, grid, f, None, th)
+            assert relative_error(precoders.beam_power, beam_power) <= 1e-12
+            terms = precoders.pattern(w)
+            assert relative_error(terms[2], dense) <= 1e-12
+            d = beam_power.T @ (weights * (ybar - f))
+            dense_w_grad = ((2.0 / wnorm2) * np.sum(weights * ybar * (f - ybar)) * w
+                            + 2.0 * factor * stats.bs_departure
+                            @ ((stats.path_powers * d)[:, None] * bw))
+            assert relative_error(precoders.gradient(w, *terms, weights), dense_w_grad) <= 1e-12
+        # a stack (B, M) of free phases, each against its dense pattern
+        stacked, = solve.pattern(free)
+        for th, y in zip(free, stacked):
+            dense = factor * (np.abs(rows @ (th[:, None] * stats.ris_arrival)) ** 2 @ chi)
+            assert relative_error(y, dense) <= 1e-12
 
 
 class TestPatternCost:
