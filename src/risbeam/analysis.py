@@ -10,6 +10,7 @@ fraction |coverage|/pi of the diffuse share, scaled by the flat-top gain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats,
-                      freq_gain, sample_paths, steering_matrix)
+                      freq_gain, sample_paths, steering_matrix, stream)
 from .pattern import TargetPattern, region_masks
 from .synthesis import synthesize
 
@@ -320,28 +321,27 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
     """Synthesize every (element count, beamwidth) cell and report the mean
     achieved flat-top power; the scaling trends live in the caller's hands.
 
-    Each cell's target is ``scaling_cell_target``; the per-cell channel is
-    redrawn from each seed. Each row also lists the synthesis's
-    ``solver_warnings``.
+    Each cell's target is ``scaling_cell_target``; every cell of one seed
+    shares that seed's "scaling-channel" and "scaling-starts" streams. Each
+    row also lists the synthesis's ``solver_warnings``.
     """
     rows: list[dict] = []
     bs_geom = ArrayGeometry(num_bs_antennas)
-    for m in element_counts:
-        for bw in beamwidths_rad:
-            for seed in seeds:
-                paths = sample_paths(channel_config, int(seed))
-                stats = channel_stats(paths, ArrayGeometry(int(m)), bs_geom)
-                target = scaling_cell_target(m, bw, center)
-                result = synthesize(target, stats, num_streams=num_streams,
-                                    seed=int(seed), **synth_kwargs)
-                flat_mask, _, _ = region_masks(target, result.grid.angles)
-                rows.append({
-                    "num_elements": int(m),
-                    "beamwidth_rad": float(bw),
-                    "seed": int(seed),
-                    "target_flat_power": float(target.flat_power),
-                    "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
-                    "ripple_db": float(result.flat_top_ripple_db),
-                    "warnings": result.solver_warnings(),
-                })
+    # product reads each iterable once, so one-shot seed iterators cover every cell
+    for m, bw, seed in itertools.product(element_counts, beamwidths_rad, map(int, seeds)):
+        paths = sample_paths(channel_config, stream(seed, "scaling-channel"))
+        stats = channel_stats(paths, ArrayGeometry(int(m)), bs_geom)
+        target = scaling_cell_target(m, bw, center)
+        result = synthesize(target, stats, num_streams=num_streams,
+                            seed=stream(seed, "scaling-starts"), **synth_kwargs)
+        flat_mask, _, _ = region_masks(target, result.grid.angles)
+        rows.append({
+            "num_elements": int(m),
+            "beamwidth_rad": float(bw),
+            "seed": seed,
+            "target_flat_power": float(target.flat_power),
+            "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
+            "ripple_db": float(result.flat_top_ripple_db),
+            "warnings": result.solver_warnings(),
+        })
     return rows

@@ -155,7 +155,19 @@ class ChannelConfig:
             raise ValueError("angle_distribution must be 'uniform' or fixed lists")
 
 
-def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
+# Spawn key of every named random stream, fixed by the (config, seed) contract.
+# Start i of a synthesis seeded with key K is K + (i,): no other stream draws there.
+STREAMS = {"design-channel": 0, "synthesis-starts": 1, "trials": 2, "batch-channel": 3,
+           "batch-starts": 4, "ofdma": 5, "gradcheck": 6, "beamshift-feed": 7,
+           "beamshift-starts": 8, "scaling-channel": 9, "scaling-starts": 10}
+
+
+def stream(seed: int, purpose: str, *index: int) -> np.random.SeedSequence:
+    """The stream of ``purpose`` under ``seed``, one per ``index`` where it draws many."""
+    return np.random.SeedSequence(seed, spawn_key=(STREAMS[purpose], *index))
+
+
+def sample_paths(config: ChannelConfig, rng: int | np.random.SeedSequence | np.random.Generator,
                  draws: int | None = None) -> PathSet:
     """Draw one PathSet, or ``draws`` independent ones as a batched PathSet.
     Deterministic given (config, seed, draws).
@@ -174,7 +186,7 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.Generator,
     order), so the stream differs from ``draws`` single calls; ``draws=1``
     reproduces one unbatched call.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     if draws is not None and (int(draws) != draws or draws < 0):
         raise ValueError("draws must be a nonnegative integer")
     lead = () if draws is None else (int(draws),)

@@ -14,7 +14,7 @@ import sys
 
 from . import harness
 from .analysis import rate_scale
-from .scenario import PRESETS, ScenarioConfig
+from .scenario import PRESETS, ScenarioConfig, incident_angle
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,11 +77,14 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     overrides = {"seed": args.seed, "batch_channels": getattr(args, "batch_channels", None)}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items()
                                             if v is not None})
-    try:
-        rate_scale(config.subcarriers, config.cp_length,
-                   getattr(args, "overhead_fraction", 0.0))
-    except ValueError as exc:
-        raise ValueError(f"--overhead-fraction: {exc}") from None
+    checks = {"overhead_fraction": lambda f: rate_scale(config.subcarriers, config.cp_length, f),
+              "from_deg": incident_angle, "to_deg": incident_angle}
+    for name, check in checks.items():
+        if getattr(args, name, None) is not None:
+            try:
+                check(getattr(args, name))
+            except ValueError as exc:
+                raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     return config
 
 

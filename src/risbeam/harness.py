@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pattern, synthesis
-from .channel import ArrayGeometry, ChannelConfig, PathSet, channel_stats, sample_paths
+from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats, sample_paths,
+                      stream)
 from .manifold import random_unit_modulus
 from .pattern import region_masks
-from .scenario import ScenarioConfig, feed_channel, scenario_rng_children
+from .scenario import ScenarioConfig, feed_channel, incident_angle
 from .synthesis import CoverageRegion, measure_minus3db_region, predict_shifted_region
 from .validation import gradient_check
 
@@ -69,18 +70,16 @@ def _ensure_dir(out_dir) -> Path:
     return out
 
 
-def _design(config: ScenarioConfig, seeds=None):
-    """Draw a design channel and synthesize (theta, W) for the scenario.
-
-    ``seeds`` is the (channel, synthesis) seed pair; by default the
-    scenario's children 0 and 1, which give the scenario's own design.
-    """
-    chan_seed, synth_seed = seeds or scenario_rng_children(config, 2)
-    paths = sample_paths(config.bs_ris_channel(), np.random.default_rng(chan_seed))
+def _design(config: ScenarioConfig, *row: int):
+    """Draw a design channel and synthesize (theta, W): the scenario's own
+    design, or with a ``row`` index that row of a batch of fresh draws."""
+    kind = ("batch-channel", "batch-starts") if row else ("design-channel", "synthesis-starts")
+    paths = sample_paths(config.bs_ris_channel(), stream(config.seed, kind[0], *row))
     stats = channel_stats(paths, ArrayGeometry(config.ris_elements),
                           ArrayGeometry(config.bs_antennas))
     result = synthesis.synthesize(config.target(), stats, config.streams,
-                                  seed=synth_seed, **config.synthesis_kwargs())
+                                  seed=stream(config.seed, kind[1], *row),
+                                  **config.synthesis_kwargs())
     return paths, stats, result
 
 
@@ -130,7 +129,8 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
     payload["warnings"] = result.solver_warnings()
 
     if config.batch_channels > 0:
-        batch = _batch_patterns(config)
+        batch = np.asarray([_design(config, i)[2].achieved_pattern
+                            for i in range(config.batch_channels)])
         _write_csv(out / "pattern_stats.csv",
                    dict.fromkeys(["angle_deg", "mean_gain_linear", "std_gain_linear",
                                   "mean_gain_db"], _G),
@@ -144,17 +144,6 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
         payload["ripple_assertion"] = f"FAIL: {result.flat_top_ripple_db:.3f} dB > {assert_ripple_db} dB"
         exit_code = 1
     return _finish(out, "synthesize", config, payload, outputs, t0, exit_code)
-
-
-def _batch_patterns(config: ScenarioConfig) -> np.ndarray:
-    """Achieved patterns over freshly drawn design channels, one per row.
-
-    The rows draw from scenario child 3, which neither the design channel
-    nor the synthesis starts use, so no row repeats the design itself.
-    """
-    children = scenario_rng_children(config, 4)[3].spawn(2 * config.batch_channels)
-    return np.asarray([_design(config, children[2 * i:2 * i + 2])[2].achieved_pattern
-                       for i in range(config.batch_channels)])
 
 
 def run_broadcast_cdf(config: ScenarioConfig, out_dir,
@@ -191,8 +180,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
     direct_cfg = config.direct_channel()
     subcarriers = np.arange(config.users) % n_c
 
-    (trial_seed,) = scenario_rng_children(config, 3)[2:3]
-    rng = np.random.default_rng(trial_seed)
+    rng = np.random.default_rng(stream(config.seed, "trials"))
     names = ("proposed", "random_phase", "no_ris")
     rates = np.empty((len(names), config.realizations, config.users))
     for r in range(config.realizations):
@@ -243,15 +231,14 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir,
     budget0 = config.budget()
     coverage = tuple(math.radians(d) for d in spec.coverage_deg)
 
-    children = np.random.SeedSequence(config.seed).spawn(len(spec.k_sweep_db))
     rows = []
     worst = 0.0
-    for child, k_db in zip(children, spec.k_sweep_db):
+    for i, k_db in enumerate(spec.k_sweep_db):
         stats = spec.coverage_stats(k_db)
         gains = analysis.idealized_ofdma_channel_gains(
-            stats, coverage, spec.nlos_paths, spec.direct_paths, n_c,
-            config.bs_antennas, budget0.bs_ris_gain * budget0.ris_user_gain,
-            budget0.direct_gain, spec.realizations, np.random.default_rng(child))
+            stats, coverage, spec.nlos_paths, spec.direct_paths, n_c, config.bs_antennas,
+            budget0.bs_ris_gain * budget0.ris_user_gain, budget0.direct_gain,
+            spec.realizations, np.random.default_rng(stream(config.seed, "ofdma", i)))
         for p_dbm in spec.p_sweep_dbm:
             budget = dataclasses.replace(budget0, tx_power_w=analysis.dbm_to_watts(p_dbm))
             mc = scale * float(np.mean(np.sum(np.log2(1.0 + budget.snr_scale * gains), axis=1)))
@@ -288,8 +275,8 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
     worst = {"precoder_fd": 0.0, "phase_fd": 0.0, "full_matrix_fd": 0.0,
              "diag_extraction": 0.0}
     rows = []
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(spec.instances)):
-        rng = np.random.default_rng(child)
+    for i in range(spec.instances):
+        rng = np.random.default_rng(stream(config.seed, "gradcheck", i))
         m, n_bs, n_d, n_paths = spec.draw_sizes(rng)
         paths = sample_paths(ChannelConfig(num_paths=n_paths, delay_spread_taps=0), rng)
         stats = channel_stats(paths, ArrayGeometry(m), ArrayGeometry(n_bs))
@@ -324,15 +311,14 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
 def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None,
                   to_deg: float | None = None) -> dict:
     """Synthesize a single-feed flat top, re-illuminate it from a different
-    incident angle, and compare the measured -3 dB region with the
-    closed-form shift prediction (one grid bin tolerance)."""
+    incident angle, and check the measured -3 dB region against the
+    closed-form shift prediction to one grid bin; no prediction fails."""
     t0 = time.perf_counter()
-    out = _ensure_dir(out_dir)
     spec = config.beamshift
-    phi0 = math.radians(spec.incident_from_deg if from_deg is None else from_deg)
-    phi1 = math.radians(spec.incident_to_deg if to_deg is None else to_deg)
-    chan_seed, synth_seed = scenario_rng_children(config, 2)
-    feed_departure = np.random.default_rng(chan_seed).uniform(0.0, math.pi)
+    phi0 = incident_angle(spec.incident_from_deg if from_deg is None else from_deg)
+    phi1 = incident_angle(spec.incident_to_deg if to_deg is None else to_deg)
+    out = _ensure_dir(out_dir)
+    feed_departure = np.random.default_rng(stream(config.seed, "beamshift-feed")).uniform(0, np.pi)
 
     def stats_for(incident: float):
         path = PathSet(gains=[1.0 + 0.0j], arrival_angles=[incident],
@@ -341,22 +327,23 @@ def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None
                              ArrayGeometry(config.bs_antennas))
 
     design = synthesis.synthesize(spec.target(), stats_for(phi0), num_streams=1,
-                                  seed=synth_seed, **config.synthesis_kwargs())
+                                  seed=stream(config.seed, "beamshift-starts"),
+                                  **config.synthesis_kwargs())
     grid = design.grid
     angles = grid.angles
     measured0 = measure_minus3db_region(angles, design.achieved_pattern)
-    predicted = predict_shifted_region(CoverageRegion(*measured0), phi0, phi1)
+    try:
+        predicted = predict_shifted_region(CoverageRegion(*measured0), phi0, phi1)
+    except ValueError:  # the design's region breaks the prediction's hypothesis
+        predicted = None
     shifted_pattern = pattern.normalized_pattern(design.theta, design.precoder,
                                                  stats_for(phi1), grid)
     measured1 = measure_minus3db_region(angles, shifted_pattern)
 
     bin_rad = grid.spacing
-    if predicted is None:
-        ok = False
-        errs = (math.nan, math.nan)
-    else:
-        errs = (abs(predicted.phi_min - measured1[0]), abs(predicted.phi_max - measured1[1]))
-        ok = max(errs) <= bin_rad
+    errs = (math.nan, math.nan) if predicted is None else (
+        abs(predicted.phi_min - measured1[0]), abs(predicted.phi_max - measured1[1]))
+    ok = predicted is not None and max(errs) <= bin_rad
     payload = {
         "incident_from_deg": math.degrees(phi0),
         "incident_to_deg": math.degrees(phi1),

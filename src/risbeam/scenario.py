@@ -134,6 +134,13 @@ class OfdmaEvalSpec:
                              default_flat_power(self.ris_elements, hi - lo))
 
 
+def incident_angle(degrees: float) -> float:
+    """Incident angle in radians; the shift prediction needs (0, 180) degrees."""
+    if not 0.0 < degrees < 180.0:
+        raise ValueError(f"incident angle must lie in (0, 180) degrees, got {degrees}")
+    return math.radians(degrees)
+
+
 @dataclass(frozen=True)
 class BeamShiftSpec:
     """Single-path design used to check the shifted-coverage prediction."""
@@ -146,6 +153,8 @@ class BeamShiftSpec:
     def __post_init__(self) -> None:
         _check("scenario.beamshift", "ris_elements", lambda: ArrayGeometry(self.ris_elements))
         _check("scenario.beamshift", "coverage_deg", self.target)
+        for name in ("incident_from_deg", "incident_to_deg"):
+            _check("scenario.beamshift", name, lambda: incident_angle(getattr(self, name)))
 
     def target(self) -> TargetPattern:
         lo, hi = (math.radians(d) for d in self.coverage_deg)
@@ -418,12 +427,3 @@ def _coerce(value, hint, path: str):
             raise ValueError(f"{path}: expected a number, got {value!r}")
         return float(value)
     raise ValueError(f"{path}: unsupported config field type {hint!r}")
-
-
-def scenario_rng_children(config: ScenarioConfig, count: int) -> list[np.random.SeedSequence]:
-    """Deterministic per-purpose seed streams derived from the scenario seed.
-
-    Child 0 feeds the design channel draw, child 1 the synthesis starts,
-    child 2 the evaluation trials, further children any per-command extras.
-    """
-    return np.random.SeedSequence(config.seed).spawn(count)

@@ -149,10 +149,8 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
     weight_rule = _weight_rule(target, weight_config, grid.angles)
     n_bs = stats.num_bs_antennas
 
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best: SynthesisResult | None = None
-    for start, child in enumerate(seed_seq.spawn(num_starts)):
-        rng = np.random.default_rng(child)
+    for start, rng in enumerate(np.random.default_rng(seed).spawn(num_starts)):
         theta = random_unit_modulus(m, rng)
         w = rng.standard_normal((n_bs, num_streams)) + 1j * rng.standard_normal((n_bs, num_streams))
         w = w / np.linalg.norm(w)

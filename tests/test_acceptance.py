@@ -324,8 +324,8 @@ def test_broadcast_rate_ordering(tmp_path, monkeypatch, reference_design):
     design_config, paths, stats, result, _ = reference_design
 
     # the fixture already synthesized this scenario's design
-    def shared_design(asked, seeds=None):
-        assert asked == design_config and seeds is None
+    def shared_design(asked, *row):
+        assert asked == design_config and not row
         return paths, stats, result
 
     monkeypatch.setattr(harness, "_design", shared_design)

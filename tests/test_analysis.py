@@ -258,3 +258,14 @@ class TestScalingProbe:
         row = rows[0]
         assert row["num_elements"] == 12
         assert row["achieved_flat_mean"] > 0
+
+    def test_seed_iterator_covers_every_cell(self):
+        # a one-shot iterator of seeds must reach the second cell too
+        rows = power_scaling_probe([8, 12], [np.deg2rad(50)],
+                                   ChannelConfig(num_paths=2, delay_spread_taps=0),
+                                   num_bs_antennas=4, num_streams=1,
+                                   center=np.deg2rad(110), seeds=iter([0, 1]),
+                                   oversampling=6, num_starts=1,
+                                   inner_max_iters=3, outer_max_iters=1)
+        assert [(r["num_elements"], r["seed"]) for r in rows] == [(8, 0), (8, 1), (12, 0),
+                                                                  (12, 1)]

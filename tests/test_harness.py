@@ -1,15 +1,17 @@
+import inspect
 import json
 import math
 import time
-import types
 
 import numpy as np
 import pytest
 
+import risbeam.analysis
 import risbeam.synthesis
 import risbeam.validation
 from risbeam import cli, harness
-from risbeam.scenario import ScenarioConfig, scenario_rng_children
+from risbeam.channel import stream
+from risbeam.scenario import ScenarioConfig
 
 TINY = dict(
     ris_elements=24, bs_antennas=8, ue_antennas=2, streams=2,
@@ -133,8 +135,8 @@ class TestRunSynthesize:
         designs = []
         true_design = harness._design
 
-        def recording_design(config, seeds=None):
-            designs.append(true_design(config, seeds))
+        def recording_design(config, *row):
+            designs.append(true_design(config, *row))
             return designs[-1]
 
         monkeypatch.setattr(harness, "_design", recording_design)
@@ -198,8 +200,8 @@ class TestRunSynthesize:
         lines = (tmp_path / "pattern_stats.csv").read_text().strip().splitlines()
         assert len(lines) == config.oversampling * config.ris_elements + 1
 
-    def test_batch_rows_draw_fresh_channels(self, monkeypatch):
-        # row 0 of the batch must not redraw the design channel
+    def test_batch_rows_draw_fresh_channels(self, tmp_path, monkeypatch):
+        # no row of the batch may redraw the design channel
         config = _tiny_config(batch_channels=2)
         drawn = []
         true_sample = harness.sample_paths
@@ -208,17 +210,83 @@ class TestRunSynthesize:
             drawn.append(true_sample(cfg, rng))
             return drawn[-1]
 
-        def no_synthesis(target, stats, *args, **kwargs):
-            return types.SimpleNamespace(achieved_pattern=np.zeros(3))
-
         monkeypatch.setattr(harness, "sample_paths", recording_sample)
-        monkeypatch.setattr(harness.synthesis, "synthesize", no_synthesis)
-        harness._batch_patterns(config)
-        design_seed = scenario_rng_children(config, 2)[0]
-        design = true_sample(config.bs_ris_channel(), np.random.default_rng(design_seed))
-        assert len(drawn) == 2
-        for paths in drawn:
+        harness.run_synthesize(config, tmp_path)
+        design = true_sample(config.bs_ris_channel(), stream(config.seed, "design-channel"))
+        assert len(drawn) == 3
+        np.testing.assert_array_equal(drawn[0].gains, design.gains)
+        for paths in drawn[1:]:
             assert not np.allclose(paths.gains, design.gains)
+
+
+class TestStreams:
+    def _record(self, monkeypatch):
+        """Record (entropy, spawn key) of every stream a run draws: each
+        generator seeded outside a synthesis, and each synthesis's starts."""
+        drawn, designs, depth = [], [], []
+        true_rng, true_synthesize = np.random.default_rng, risbeam.synthesis.synthesize
+        signature = inspect.signature(true_synthesize)
+
+        def as_sequence(seed):
+            assert seed is not None
+            return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+        def default_rng(seed=None):
+            if not depth and not isinstance(seed, np.random.Generator):
+                seq = as_sequence(seed)
+                drawn.append((seq.entropy, seq.spawn_key))
+            return true_rng(seed)
+
+        def synthesize(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seq = as_sequence(bound.arguments["seed"])
+            drawn.extend((seq.entropy, seq.spawn_key + (j,))
+                         for j in range(bound.arguments["num_starts"]))
+            depth.append(1)
+            try:
+                designs.append(true_synthesize(*args, **kwargs))
+            finally:
+                depth.pop()
+            return designs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        monkeypatch.setattr(risbeam.synthesis, "synthesize", synthesize)
+        monkeypatch.setattr(risbeam.analysis, "synthesize", synthesize)
+        return drawn, designs
+
+    def test_runners_draw_independent_streams(self, tmp_path, monkeypatch):
+        config = ScenarioConfig.from_dict({
+            **TINY, "batch_channels": 2,
+            "optimizer": {"num_starts": 2, "inner_max_iters": 10, "outer_max_iters": 2},
+            "ofdma": {"ris_elements": 16, "k_sweep_db": [0.0, 10.0, 20.0],
+                      "p_sweep_dbm": [20.0], "realizations": 4},
+            "gradcheck": {"instances": 3},
+            "beamshift": {"ris_elements": 16},
+            # one cell: the cells of one seed share that seed's streams on purpose
+            "scaling": {"element_counts": [16], "beamwidths_deg": [40.0], "num_seeds": 2,
+                        "paths": 2, "streams": 1, "bs_antennas": 8},
+        })
+        drawn, designs = self._record(monkeypatch)
+        streams, first_design = {}, {}
+        for name in ("synthesize", "broadcast_cdf", "ofdma_eval", "gradcheck", "beamshift",
+                     "scaling_probe"):
+            start, first_design[name] = len(drawn), len(designs)
+            getattr(harness, f"run_{name}")(config, tmp_path / name)
+            streams[name] = drawn[start:]
+        # broadcast-cdf rebuilds the scenario's design from the streams that
+        # synthesize drew first, then draws its trials
+        design = streams["broadcast_cdf"][:-1]
+        assert streams["synthesize"][:len(design)] == design
+        np.testing.assert_array_equal(designs[first_design["broadcast_cdf"]].theta,
+                                      designs[first_design["synthesize"]].theta)
+        every = [key for name, keys in streams.items() if name != "broadcast_cdf"
+                 for key in keys]
+        every.append(streams["broadcast_cdf"][-1])
+        # 1 + 2 design, 2 x (1 + 2) batch, 1 trials, 3 ofdma, 3 gradcheck,
+        # 1 + 2 beamshift, 2 x (1 + 2) scaling
+        assert len(every) == 25
+        assert len(set(every)) == len(every)
 
 
 def _reference_csv(header, rows) -> bytes:
@@ -439,6 +507,21 @@ class TestRunBeamshift:
         assert "warnings" not in (tmp_path / "beamshift.txt").read_text()
 
 
+    def test_region_outside_prediction_hypothesis_fails(self, tmp_path, monkeypatch):
+        # a design region reaching below 90 degrees admits no prediction
+        monkeypatch.setattr(harness, "measure_minus3db_region", lambda angles, p: (1.0, 2.0))
+        config = ScenarioConfig.from_dict({"seed": 7, "optimizer": CAPPED_OPT,
+                                           "beamshift": {"ris_elements": 16}})
+        report = harness.run_beamshift(config, tmp_path)
+        assert report["exit_code"] == 1
+        assert report["payload"]["predicted_region_deg"] is None
+
+    def test_invalid_incident_angle_fails_before_synthesis(self, tmp_path):
+        with pytest.raises(ValueError, match="incident angle"):
+            harness.run_beamshift(ScenarioConfig(), tmp_path / "o", to_deg=180.0)
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunScalingProbe:
     def test_table_shape(self, tmp_path):
         config = ScenarioConfig.from_dict({
@@ -579,6 +662,25 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --overhead-fraction: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("data, flags, field", [
+        ({}, ["--from-deg", "0"], "--from-deg"),
+        ({}, ["--to-deg", "180"], "--to-deg"),
+        ({}, ["--to-deg", "nan"], "--to-deg"),
+        ({"beamshift": {"incident_to_deg": 200}}, [], "scenario.beamshift.incident_to_deg"),
+        ({"beamshift": {"incident_from_deg": -5}}, [], "scenario.beamshift.incident_from_deg"),
+    ])
+    def test_invalid_incident_angle_fails_fast(self, tmp_path, capsys, data, flags, field):
+        # the shifted-coverage prediction needs both angles inside (0, 180)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code = cli.main(["beamshift", "--config", str(cfg), *flags, "--out",
+                         str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flags, csvs", [
