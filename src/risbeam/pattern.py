@@ -124,6 +124,14 @@ class AngularGrid:
         return a
 
 
+def check_flat_top_resolved(target: TargetPattern, grid: AngularGrid) -> None:
+    """Reject a flat top narrower than one grid bin: the synthesis would fit
+    at most one sample of it."""
+    if 2.0 * target.inner_half_width < grid.spacing:
+        raise ValueError("flat-top region narrower than one grid bin; "
+                         "increase the beamwidth or the oversampling")
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Region weights for the synthesis cost (flat top, sidelobe, roll-off)."""

@@ -26,7 +26,7 @@ from .analysis import (CoverageStats, LinkBudget, dbm_to_watts, default_flat_pow
                        scaling_cell_target)
 from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
 from .manifold import ArmijoParams
-from .pattern import AngularGrid, TargetPattern, WeightConfig
+from .pattern import AngularGrid, TargetPattern, WeightConfig, check_flat_top_resolved
 
 # Trial counts per named preset; keys in a config file override them.
 PRESETS = {"paper": {"users": 1280, "realizations": 500},
@@ -183,11 +183,14 @@ class ScalingProbeSpec:
             for bw in self.beamwidths_deg:
                 _check(path, "beamwidths_deg",
                        lambda: default_flat_power(m, math.radians(bw)))
-                _check(path, "center_deg beamwidths_deg", lambda: scaling_cell_target(
-                    m, math.radians(bw), math.radians(self.center_deg)))
+                _check(path, "center_deg beamwidths_deg", lambda: self.cell_target(m, bw))
         _check(path, "bs_antennas", lambda: ArrayGeometry(self.bs_antennas))
         _check(path, "paths", lambda: feed_channel(self.paths, None, 0))
         _at_least(self, path, 1, "num_seeds streams")
+
+    def cell_target(self, num_elements: int, beamwidth_deg: float) -> TargetPattern:
+        return scaling_cell_target(num_elements, math.radians(beamwidth_deg),
+                                   math.radians(self.center_deg))
 
 
 # Smallest size of each random gradcheck instance, in draw order.
@@ -343,6 +346,18 @@ class ScenarioConfig:
         _check("scenario", "oversampling",
                lambda: AngularGrid(self.oversampling, self.ris_elements))
         _check("scenario", "coverage_deg rolloff flat_power sidelobe_ratio", self.target)
+        # every synthesis of a run samples its flat top on the scenario's grid
+        def resolved(names: str, target: TargetPattern, m: int) -> None:
+            _check("scenario", names, lambda: check_flat_top_resolved(
+                target, AngularGrid(self.oversampling, m)))
+
+        resolved("coverage_deg rolloff oversampling", self.target(), self.ris_elements)
+        resolved("beamshift.coverage_deg beamshift.ris_elements oversampling",
+                 self.beamshift.target(), self.beamshift.ris_elements)
+        for m in self.scaling.element_counts:
+            for bw in self.scaling.beamwidths_deg:
+                resolved("scaling.beamwidths_deg scaling.element_counts oversampling",
+                         self.scaling.cell_target(m, bw), m)
         _check("scenario", "flat_weight sidelobe_weight rolloff_weight", self.weight_config)
         _check("scenario", "bs_ris_paths bs_ris_k_factor_db", self.bs_ris_channel)
         _check("scenario", "ris_user_paths ris_user_k_factor_db", self.ris_user_channel)

@@ -23,8 +23,8 @@ from .channel import ChannelStats
 from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
                        random_unit_modulus, rcg_minimize)
 from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _PhaseSolve,
-                      _PrecoderSolve, _weight_rule, normalized_pattern, region_masks,
-                      target_value)
+                      _PrecoderSolve, _weight_rule, check_flat_top_resolved,
+                      normalized_pattern, region_masks, target_value)
 
 
 def precoder_gradient(precoder, theta, stats: ChannelStats, target_values: np.ndarray,
@@ -79,7 +79,9 @@ class SynthesisResult:
     ``outer_cost_trace`` records the cost after every alternation round;
     ``inner_cost_traces`` the per-subproblem traces in execution order
     (precoder step, phase step, precoder step, ...), and ``inner_statuses``
-    the ``CgResult.status`` of each of those solves.
+    the ``CgResult.status`` of each of those solves. ``outer_capped`` is
+    true when the alternation stopped at ``outer_max_iters`` rounds before
+    its relative cost drop fell below a positive ``outer_tol``.
     """
 
     theta: np.ndarray
@@ -93,6 +95,7 @@ class SynthesisResult:
     target_values: np.ndarray
     start_index: int
     final_cost: float
+    outer_capped: bool
 
     def concatenated_trace(self) -> np.ndarray:
         """All inner traces joined in execution order (nonincreasing)."""
@@ -103,11 +106,15 @@ class SynthesisResult:
     def solver_warnings(self) -> list[str]:
         """One line per inner solve that hit its iteration cap or whose line
         search stalled, e.g. "round 3 theta solve: max_iterations (500
-        iterations)"."""
-        return [f"round {i // 2 + 1} {('precoder', 'theta')[i % 2]} solve: {status} "
-                f"({len(trace) - 1} iterations)" for i, (status, trace)
-                in enumerate(zip(self.inner_statuses, self.inner_cost_traces))
-                if status in ("max_iterations", "line_search_stalled")]
+        iterations)", then "outer loop: max_iterations (50 rounds)" when the
+        alternation stopped at its round cap."""
+        lines = [f"round {i // 2 + 1} {('precoder', 'theta')[i % 2]} solve: {status} "
+                 f"({len(trace) - 1} iterations)" for i, (status, trace)
+                 in enumerate(zip(self.inner_statuses, self.inner_cost_traces))
+                 if status in ("max_iterations", "line_search_stalled")]
+        if self.outer_capped:
+            lines.append(f"outer loop: max_iterations ({len(self.outer_cost_trace) - 1} rounds)")
+        return lines
 
 
 def flat_top_ripple_db(pattern: np.ndarray, target: TargetPattern,
@@ -140,9 +147,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
     """
     m = stats.num_ris_elements
     grid = AngularGrid(oversampling, m)
-    if 2.0 * target.inner_half_width < grid.spacing:
-        raise ValueError("flat-top region narrower than one grid bin; "
-                         "increase the beamwidth or the oversampling")
+    check_flat_top_resolved(target, grid)
     if num_starts < 1:
         raise ValueError("need at least one start")
     f = target_value(target, grid.angles)
@@ -158,6 +163,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         cost_now = _PhaseSolve(stats, grid, f, weight_rule, w).cost(theta)
         outer_trace = [cost_now]
         steps = []
+        outer_capped = False
         for _ in range(outer_max_iters):
             w_step = optimize_precoder(w, theta, stats, target, grid, weight_config,
                                        armijo, inner_grad_tol, inner_cost_tol,
@@ -175,6 +181,9 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             outer_trace.append(cost_now)
             if rel_drop < outer_tol:
                 break
+        else:
+            # with outer_tol = 0 (or no rounds) the cap is the only stopping rule
+            outer_capped = outer_tol > 0 and outer_max_iters > 0
 
         achieved = normalized_pattern(theta, w, stats, grid)
         candidate = SynthesisResult(
@@ -185,7 +194,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             achieved_pattern=achieved,
             flat_top_ripple_db=flat_top_ripple_db(achieved, target, grid.angles),
             grid=grid, target_values=f, start_index=start,
-            final_cost=float(cost_now),
+            final_cost=float(cost_now), outer_capped=outer_capped,
         )
         if best is None or candidate.final_cost < best.final_cost:
             best = candidate

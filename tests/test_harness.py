@@ -186,6 +186,20 @@ class TestRunSynthesize:
         assert len(warnings) == 4
         assert warnings[-1] == "round 2 theta solve: max_iterations (4 iterations)"
 
+    def test_capped_outer_loop_reported(self, tmp_path):
+        # the same budget with a positive outer_tol: the round cap now cut
+        # the alternation short, and only report.json says so
+        from risbeam.scenario import OptimizerSpec
+        capped = {**CAPPED_OPT, "outer_tol": 1e-4}
+        config = ScenarioConfig(optimizer=OptimizerSpec(**capped), **TINY)
+        report = harness.run_synthesize(config, tmp_path / "tol")
+        assert report["payload"]["warnings"][-1] == "outer loop: max_iterations (2 rounds)"
+        budget = ScenarioConfig(optimizer=OptimizerSpec(**CAPPED_OPT), **TINY)
+        harness.run_synthesize(budget, tmp_path / "budget")
+        for name in ("pattern.csv", "trace.csv"):
+            assert ((tmp_path / "tol" / name).read_bytes()
+                    == (tmp_path / "budget" / name).read_bytes())
+
     def test_ripple_assertion_exit_code(self, tmp_path):
         config = _tiny_config()
         ok = harness.run_synthesize(config, tmp_path / "a", assert_ripple_db=1e9)
@@ -618,6 +632,13 @@ class TestCli:
         ({"ofdma": {"p_sweep_dbm": []}}, "scenario.ofdma.p_sweep_dbm"),
         ({"scaling": {"element_counts": []}}, "scenario.scaling.element_counts"),
         ({"scaling": {"beamwidths_deg": []}}, "scenario.scaling.beamwidths_deg"),
+        # flat tops narrower than one bin of a 4-element grid at oversampling 2
+        ({"ris_elements": 4, "oversampling": 2, "coverage_deg": [100, 110]},
+         "scenario.coverage_deg"),
+        ({"oversampling": 2, "beamshift": {"ris_elements": 4, "coverage_deg": [100, 110]}},
+         "scenario.beamshift.coverage_deg"),
+        ({"oversampling": 2, "scaling": {"element_counts": [4], "beamwidths_deg": [10],
+                                         "num_seeds": 1}}, "scenario.scaling.beamwidths_deg"),
     ])
     def test_invalid_field_combination_fails_fast(self, tmp_path, capsys, data, path):
         cfg = tmp_path / "cfg.json"

@@ -253,13 +253,36 @@ class TestSynthesize:
             f"round {r} {kind} solve: max_iterations (3 iterations)"
             for r in (1, 2) for kind in ("precoder", "theta")]
 
+    def test_capped_outer_loop_warns(self):
+        rng = np.random.default_rng(2)
+        paths = sample_paths(ChannelConfig(num_paths=2, delay_spread_taps=2), rng)
+        stats = channel_stats(paths, ArrayGeometry(12), ArrayGeometry(4))
+        target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                            12 * np.pi / np.deg2rad(50))
+        kwargs = dict(num_streams=1, seed=0, num_starts=1, inner_max_iters=3,
+                      outer_max_iters=2)
+        capped = synthesize(target, stats, outer_tol=1e-4, **kwargs)
+        drops = -np.diff(capped.outer_cost_trace) / capped.outer_cost_trace[:-1]
+        assert len(drops) == 2 and np.all(drops >= 1e-4)
+        assert capped.outer_capped
+        assert capped.solver_warnings()[-1] == "outer loop: max_iterations (2 rounds)"
+        # a zero tolerance leaves the round cap as the only stopping rule
+        budget = synthesize(target, stats, outer_tol=0.0, **kwargs)
+        assert not budget.outer_capped
+        assert budget.solver_warnings() == capped.solver_warnings()[:-1]
+        # a loop that meets its tolerance in the last round is not capped
+        assert drops[0] > drops[1]
+        met = synthesize(target, stats, outer_tol=float(drops.mean()), **kwargs)
+        assert len(met.outer_cost_trace) == 3 and not met.outer_capped
+
     def test_only_capped_and_stalled_solves_warn(self, small_run):
         _, _, res = small_run
         n = len(res.inner_statuses)
-        converged = dataclasses.replace(res, inner_statuses=("cost_tolerance",) * n)
+        converged = dataclasses.replace(res, inner_statuses=("cost_tolerance",) * n,
+                                        outer_capped=False)
         assert converged.solver_warnings() == []
         stalled = dataclasses.replace(
-            res, inner_statuses=("gradient_tolerance", "line_search_stalled")
+            converged, inner_statuses=("gradient_tolerance", "line_search_stalled")
             + ("cost_tolerance",) * (n - 2))
         iterations = len(res.inner_cost_traces[1]) - 1
         assert stalled.solver_warnings() == [
