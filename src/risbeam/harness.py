@@ -125,8 +125,10 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs = ["pattern.csv", "trace.csv", "result.json"]
-    # after result.json is written: the solver warnings go to report.json only
+    # after result.json is written: the solver warnings and counts go to
+    # report.json only
     payload["warnings"] = result.solver_warnings()
+    payload["diagnostics"] = result.diagnostics()
 
     if config.batch_channels > 0:
         batch = np.asarray([_design(config, i)[2].achieved_pattern

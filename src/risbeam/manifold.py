@@ -64,9 +64,11 @@ class ArmijoParams:
     """Backtracking constants: step q * contraction^n, sufficient-decrease
     factor, and the halving budget.
 
-    Inside a CG solve ``initial_step`` is the first search's step and the cap
-    on every later one: a later search starts at min(q, 4 * previous accepted
-    step), so it does not halve from q again every iteration.
+    Inside a CG solve ``initial_step`` is q, the first search's step and the
+    cap on every later one. A later search starts where the previous one was
+    accepted: at min(q, 2 * that step) when it was the previous search's first
+    trial, else at that step, so it does not halve from q again every
+    iteration.
     """
 
     initial_step: float = 1.0
@@ -125,13 +127,15 @@ def armijo_search(cost: Callable[[np.ndarray], float], base: np.ndarray,
 @dataclass
 class CgResult:
     """Outcome of a conjugate-gradient run. ``cost_trace`` holds the cost at
-    the start point and after every accepted step (nonincreasing)."""
+    the start point and after every accepted step (nonincreasing);
+    ``cost_evals`` counts the calls of the cost, the retries' included."""
 
     point: np.ndarray
     cost_trace: np.ndarray
     status: str
     iterations: int
     grad_norm: float
+    cost_evals: int
 
     @property
     def final_cost(self) -> float:
@@ -147,15 +151,24 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     clamped at zero; any non-descent direction triggers a reset to steepest
     descent.
 
-    Each search after the first starts at min(q, 4 * previous accepted step)
-    (Nocedal & Wright, Numerical Optimization, ch. 3); the steepest-descent
-    retry after a failed search starts at q again. The acceptance test is
-    unchanged, so the cost trace stays nonincreasing.
+    Each search after the first starts where the previous one was accepted
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.5): at
+    min(q, 2 * accepted step) when the previous search accepted its first
+    trial, and at the accepted step when it backtracked. The steepest-descent
+    retry after a failed search starts at q again, and its first trial is q.
+    The acceptance test is unchanged, so the cost trace stays nonincreasing.
     """
+    evals = 0
+
+    def counted_cost(point):
+        nonlocal evals
+        evals += 1
+        return cost(point)
+
     x = np.asarray(x0, dtype=complex)
     g = project(x, euclidean_grad(x))
     d = -g
-    j = float(cost(x))
+    j = float(counted_cost(x))
     trace = [j]
     status = "max_iterations"
     gnorm = float(np.linalg.norm(g))
@@ -168,8 +181,9 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
             break
         if real_inner(g, d) >= 0.0 and np.any(d != 0):
             d = -g
+        first = warm.initial_step
         try:
-            accepted = armijo_search(cost, x, d, g, warm, cost_at_base=j,
+            accepted = armijo_search(counted_cost, x, d, g, warm, cost_at_base=j,
                                      retraction=retraction)
         except LineSearchError:
             if np.array_equal(d, -g):
@@ -177,8 +191,9 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
                 it -= 1
                 break
             d = -g
+            first = armijo.initial_step
             try:
-                accepted = armijo_search(cost, x, d, g, armijo, cost_at_base=j,
+                accepted = armijo_search(counted_cost, x, d, g, armijo, cost_at_base=j,
                                          retraction=retraction)
             except LineSearchError:
                 status = "line_search_stalled"
@@ -186,7 +201,9 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
                 break
         x_new, j_new = accepted.point, accepted.cost
         if accepted.step > 0.0:  # a step halved past the smallest float is 0
-            warm = replace(armijo, initial_step=min(armijo.initial_step, 4.0 * accepted.step))
+            start = (min(armijo.initial_step, 2.0 * accepted.step)
+                     if accepted.step == first else accepted.step)
+            warm = replace(armijo, initial_step=start)
         g_new = project(x_new, euclidean_grad(x_new))
         beta = max(0.0, real_inner(g_new, g_new - project(x_new, g)) / (gnorm * gnorm))
         d = -g_new + beta * project(x_new, d)
@@ -198,7 +215,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
             status = "cost_tolerance"
             break
     return CgResult(point=x, cost_trace=np.asarray(trace), status=status,
-                    iterations=it, grad_norm=gnorm)
+                    iterations=it, grad_norm=gnorm, cost_evals=evals)
 
 
 def rcg_minimize(cost: Callable[[np.ndarray], float],

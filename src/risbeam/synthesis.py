@@ -79,7 +79,8 @@ class SynthesisResult:
     ``outer_cost_trace`` records the cost after every alternation round;
     ``inner_cost_traces`` the per-subproblem traces in execution order
     (precoder step, phase step, precoder step, ...), and ``inner_statuses``
-    the ``CgResult.status`` of each of those solves. ``outer_capped`` is
+    and ``inner_cost_evals`` the ``CgResult.status`` and
+    ``CgResult.cost_evals`` of each of those solves. ``outer_capped`` is
     true when the alternation stopped at ``outer_max_iters`` rounds before
     its relative cost drop fell below a positive ``outer_tol``.
     """
@@ -89,6 +90,7 @@ class SynthesisResult:
     outer_cost_trace: np.ndarray
     inner_cost_traces: tuple
     inner_statuses: tuple
+    inner_cost_evals: tuple
     achieved_pattern: np.ndarray
     flat_top_ripple_db: float
     grid: AngularGrid
@@ -103,15 +105,23 @@ class SynthesisResult:
             return self.outer_cost_trace
         return np.concatenate(self.inner_cost_traces)
 
+    def diagnostics(self) -> dict:
+        """The solves of this start in execution order: round, block,
+        iterations, cost evaluations and status of each."""
+        return {"solves": [
+            {"round": i // 2 + 1, "block": ("precoder", "theta")[i % 2],
+             "iterations": len(trace) - 1, "cost_evals": evals, "status": status}
+            for i, (trace, evals, status) in enumerate(zip(
+                self.inner_cost_traces, self.inner_cost_evals, self.inner_statuses))]}
+
     def solver_warnings(self) -> list[str]:
         """One line per inner solve that hit its iteration cap or whose line
         search stalled, e.g. "round 3 theta solve: max_iterations (500
         iterations)", then "outer loop: max_iterations (50 rounds)" when the
         alternation stopped at its round cap."""
-        lines = [f"round {i // 2 + 1} {('precoder', 'theta')[i % 2]} solve: {status} "
-                 f"({len(trace) - 1} iterations)" for i, (status, trace)
-                 in enumerate(zip(self.inner_statuses, self.inner_cost_traces))
-                 if status in ("max_iterations", "line_search_stalled")]
+        lines = [f"round {s['round']} {s['block']} solve: {s['status']} "
+                 f"({s['iterations']} iterations)" for s in self.diagnostics()["solves"]
+                 if s["status"] in ("max_iterations", "line_search_stalled")]
         if self.outer_capped:
             lines.append(f"outer loop: max_iterations ({len(self.outer_cost_trace) - 1} rounds)")
         return lines
@@ -191,6 +201,7 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             outer_cost_trace=np.asarray(outer_trace),
             inner_cost_traces=tuple(step.cost_trace for step in steps),
             inner_statuses=tuple(step.status for step in steps),
+            inner_cost_evals=tuple(step.cost_evals for step in steps),
             achieved_pattern=achieved,
             flat_top_ripple_db=flat_top_ripple_db(achieved, target, grid.angles),
             grid=grid, target_values=f, start_index=start,

@@ -178,6 +178,19 @@ class TestRunSynthesize:
         assert isinstance(report["payload"]["warnings"], list)
         assert "warnings" not in json.loads((out / "result.json").read_text())
 
+    def test_diagnostics_in_report_only(self, syn_run):
+        # per-solve counts of the winning start, in report.json only
+        _, out, report = syn_run
+        diagnostics = report["payload"]["diagnostics"]
+        assert isinstance(diagnostics, dict)
+        solves = diagnostics["solves"]
+        assert len(solves) == 2 * report["payload"]["outer_iterations"]
+        assert [s["block"] for s in solves[:2]] == ["precoder", "theta"]
+        assert all(s["cost_evals"] > s["iterations"] >= 0 for s in solves)
+        assert "diagnostics" not in json.loads((out / "result.json").read_text())
+        on_disk = json.loads((out / "report.json").read_text())
+        assert on_disk["payload"]["diagnostics"] == diagnostics
+
     def test_capped_solves_reported(self, tmp_path):
         from risbeam.scenario import OptimizerSpec
         config = ScenarioConfig(optimizer=OptimizerSpec(**CAPPED_OPT), **TINY)
@@ -567,12 +580,15 @@ class TestRunScalingProbe:
 
 
 class TestCli:
-    def test_synthesize_seed_repeatability(self, tmp_path):
+    def test_synthesize_seed_repeatability(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**TINY, "optimizer": TINY_OPT}))
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["synthesize", "--config", str(cfg), "--seed", "4",
                          "--out", str(a)]) == 0
+        # the summary prints scalars only, so not the diagnostics dict
+        summary = capsys.readouterr().out
+        assert "final_cost: " in summary and "diagnostics" not in summary
         assert cli.main(["synthesize", "--config", str(cfg), "--seed", "4",
                          "--out", str(b)]) == 0
         for name in ("pattern.csv", "trace.csv", "result.json"):

@@ -211,14 +211,59 @@ class TestRcg:
         target = random_unit_modulus(12, rng)
         cost, grad = _quadratic(target)
         q = ArmijoParams().initial_step
-        res = rcg_minimize(lambda x: 1e3 * cost(x), lambda x: 1e3 * grad(x),
+        calls = []
+
+        def steep_cost(x):
+            calls.append(None)
+            return 1e3 * cost(x)
+
+        res = rcg_minimize(steep_cost, lambda x: 1e3 * grad(x),
                            random_unit_modulus(12, rng), max_iters=40)
+        assert res.cost_evals == len(calls)
         assert len(searches) == res.iterations > 1
         assert searches[0][0] == q
-        for (_, prev_step), (start, _) in zip(searches, searches[1:]):
-            assert start <= min(q, 4.0 * prev_step)
-        assert any(start < q for start, _ in searches[1:])
+        # a first-trial acceptance doubles the step (capped at q); a
+        # backtracked search hands its accepted step on unchanged
+        for (first, step), (start, _) in zip(searches, searches[1:]):
+            assert start == (min(q, 2.0 * step) if step == first else step)
+        # both branches of the rule are taken
+        assert any(step == first for first, step in searches[:-1])
+        assert any(step < first for first, step in searches[:-1])
         assert np.all(np.diff(res.cost_trace) <= 0.0)
+
+    def test_retry_after_failed_warm_search_starts_at_q(self, monkeypatch):
+        # scripted searches: the second search fails, its steepest-descent
+        # retry starts at q and backtracks three times to the failed warm
+        # start q/8; measured against q that is a backtrack, so the next
+        # search starts at q/8, not at 2 * q/8
+        import risbeam.manifold as manifold
+
+        q = ArmijoParams().initial_step
+        script = iter([3, None, 3, 0, 0])  # halvings before acceptance; None fails
+        searches = []
+
+        def scripted_search(cost, base, direction, grad, params, retraction, **_):
+            halvings = next(script)
+            searches.append((params.initial_step, np.array_equal(direction, -grad)))
+            if halvings is None:
+                raise LineSearchError("scripted failure")
+            step = params.initial_step * params.contraction ** halvings
+            point = retraction(base + step * direction)
+            return manifold.ArmijoResult(step=step, point=point, cost=cost(point))
+
+        monkeypatch.setattr(manifold, "armijo_search", scripted_search)
+        rng = _rng(21)  # a start whose second direction is not steepest descent
+        cost, grad = _quadratic(random_unit_modulus(12, rng))
+        res = rcg_minimize(cost, grad, random_unit_modulus(12, rng), max_iters=4,
+                           grad_tol=0.0, cost_tol=-np.inf)
+        assert res.iterations == 4
+        starts = [start for start, _ in searches]
+        assert starts == [q, q / 8, q, q / 8, q / 4]
+        # the start point, then one trial per accepted search; the failed
+        # search evaluated nothing
+        assert res.cost_evals == 5
+        # the failed search ran along a conjugate direction, its retry along -g
+        assert not searches[1][1] and searches[2][1]
 
     def test_off_manifold_start_rejected(self):
         cost, grad = _quadratic(_point(3))

@@ -239,6 +239,44 @@ class TestSynthesize:
         assert set(res.inner_statuses) <= {"cost_tolerance", "gradient_tolerance",
                                            "max_iterations", "line_search_stalled"}
 
+    def test_cost_evals_match_counted_calls(self, monkeypatch):
+        # every solve's cost_evals equals a counting wrapper's tally of the
+        # cost it was handed; diagnostics list the winning start's solves
+        import risbeam.synthesis as synthesis
+
+        tallies = []
+
+        def counting(solver):
+            def run(cost, *args, **kwargs):
+                tallies.append(0)
+
+                def counted_cost(x):
+                    tallies[-1] += 1
+                    return cost(x)
+                return solver(counted_cost, *args, **kwargs)
+            return run
+
+        for name in ("rcg_minimize", "euclidean_cg_minimize"):
+            monkeypatch.setattr(synthesis, name, counting(getattr(synthesis, name)))
+        rng = np.random.default_rng(4)
+        paths = sample_paths(ChannelConfig(num_paths=3, delay_spread_taps=2), rng)
+        stats = channel_stats(paths, ArrayGeometry(12), ArrayGeometry(4))
+        target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                            12 * np.pi / np.deg2rad(50))
+        res = synthesize(target, stats, num_streams=2, seed=1, num_starts=2,
+                         inner_max_iters=30, outer_max_iters=3, outer_tol=0.0)
+        assert len(tallies) == 12  # two starts of three rounds of two solves
+        winner = tallies[6 * res.start_index:6 * res.start_index + 6]
+        assert list(res.inner_cost_evals) == winner
+        assert all(n > 0 for n in tallies)
+        solves = res.diagnostics()["solves"]
+        assert [s["cost_evals"] for s in solves] == winner
+        assert [(s["round"], s["block"]) for s in solves] == [
+            (r, block) for r in (1, 2, 3) for block in ("precoder", "theta")]
+        assert [s["iterations"] for s in solves] == [
+            len(t) - 1 for t in res.inner_cost_traces]
+        assert [s["status"] for s in solves] == list(res.inner_statuses)
+
     def test_capped_solves_warn(self):
         rng = np.random.default_rng(2)
         paths = sample_paths(ChannelConfig(num_paths=2, delay_spread_taps=2), rng)
