@@ -323,7 +323,7 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
 
     Each cell's target is ``scaling_cell_target``; every cell of one seed
     shares that seed's "scaling-channel" and "scaling-starts" streams. Each
-    row also lists the synthesis's ``solver_warnings``.
+    row also lists the synthesis's ``solver_warnings`` and ``diagnostics``.
     """
     rows: list[dict] = []
     bs_geom = ArrayGeometry(num_bs_antennas)
@@ -343,5 +343,6 @@ def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[
             "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
             "ripple_db": float(result.flat_top_ripple_db),
             "warnings": result.solver_warnings(),
+            "diagnostics": result.diagnostics(),
         })
     return rows

@@ -48,7 +48,12 @@ def _write_csv(path: Path, columns: dict[str, str], rows) -> None:
 
 
 def _finish(out_dir: Path, command: str, config: ScenarioConfig, payload: dict,
-            outputs: list[str], t0: float, exit_code: int = 0) -> dict:
+            outputs: list[str], t0: float, exit_code: int = 0, design=None) -> dict:
+    """Write report.json, whose payload alone gets the solver ``warnings`` and
+    ``diagnostics`` of a ``design``: the data files are written by now."""
+    if design is not None:
+        payload["warnings"] = design.solver_warnings()
+        payload["diagnostics"] = design.diagnostics()
     report = {
         "command": command,
         "seed": config.seed,
@@ -125,10 +130,6 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs = ["pattern.csv", "trace.csv", "result.json"]
-    # after result.json is written: the solver warnings and counts go to
-    # report.json only
-    payload["warnings"] = result.solver_warnings()
-    payload["diagnostics"] = result.diagnostics()
 
     if config.batch_channels > 0:
         batch = np.asarray([_design(config, i)[2].achieved_pattern
@@ -145,7 +146,8 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
     if assert_ripple_db is not None and not result.flat_top_ripple_db <= assert_ripple_db:
         payload["ripple_assertion"] = f"FAIL: {result.flat_top_ripple_db:.3f} dB > {assert_ripple_db} dB"
         exit_code = 1
-    return _finish(out, "synthesize", config, payload, outputs, t0, exit_code)
+    return _finish(out, "synthesize", config, payload, outputs, t0, exit_code,
+                   design=result)
 
 
 def run_broadcast_cdf(config: ScenarioConfig, out_dir,
@@ -214,11 +216,10 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
         "realizations": config.realizations,
         "overhead_fraction": overhead_fraction,
         "ripple_db": design.flat_top_ripple_db,
-        "warnings": design.solver_warnings(),
         "no_ris_strategy": "direct channel only, same broad-coverage precoder "
                            "(no instantaneous CSI at the transmitter)",
     }
-    return _finish(out, "broadcast-cdf", config, payload, ["cdf.csv"], t0)
+    return _finish(out, "broadcast-cdf", config, payload, ["cdf.csv"], t0, design=design)
 
 
 def run_ofdma_eval(config: ScenarioConfig, out_dir,
@@ -359,10 +360,8 @@ def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None
     }
     lines = [f"{k}: {v}" for k, v in payload.items()]
     (out / "beamshift.txt").write_text("\n".join(lines) + "\n")
-    # after beamshift.txt is written: the solver warnings go to report.json only
-    payload["warnings"] = design.solver_warnings()
     return _finish(out, "beamshift", config, payload, ["beamshift.txt"], t0,
-                   0 if ok else 1)
+                   0 if ok else 1, design=design)
 
 
 def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
@@ -396,5 +395,8 @@ def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
         "warnings": [f"cell ({r['num_elements']} elements, "
                      f"{math.degrees(r['beamwidth_rad']):g} deg, seed {r['seed']}): {line}"
                      for r in rows for line in r["warnings"]],
+        "diagnostics": {"cells": [
+            {"num_elements": r["num_elements"], "beamwidth_deg": math.degrees(r["beamwidth_rad"]),
+             "seed": r["seed"], "solves": r["diagnostics"]["solves"]} for r in rows]},
     }
     return _finish(out, "scaling-probe", config, payload, ["scaling.csv"], t0)

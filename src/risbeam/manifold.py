@@ -11,6 +11,7 @@ subproblem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -65,10 +66,7 @@ class ArmijoParams:
     factor, and the halving budget.
 
     Inside a CG solve ``initial_step`` is q, the first search's step and the
-    cap on every later one. A later search starts where the previous one was
-    accepted: at min(q, 2 * that step) when it was the previous search's first
-    trial, else at that step, so it does not halve from q again every
-    iteration.
+    cap on every later one (see ``_cg_minimize``).
     """
 
     initial_step: float = 1.0
@@ -77,8 +75,8 @@ class ArmijoParams:
     max_halvings: int = 50
 
     def __post_init__(self) -> None:
-        if self.initial_step <= 0:
-            raise ValueError("initial step must be positive")
+        if not 0.0 < self.initial_step < math.inf:
+            raise ValueError("initial step must be positive and finite")
         if not 0.0 < self.contraction < 1.0:
             raise ValueError("contraction factor must lie in (0, 1)")
         if not 0.0 < self.sufficient_decrease < 1.0:
@@ -126,16 +124,18 @@ def armijo_search(cost: Callable[[np.ndarray], float], base: np.ndarray,
 
 @dataclass
 class CgResult:
-    """Outcome of a conjugate-gradient run. ``cost_trace`` holds the cost at
-    the start point and after every accepted step (nonincreasing);
-    ``cost_evals`` counts the calls of the cost, the retries' included."""
+    """The record of one CG solve: ``cost_trace`` holds the cost at the start
+    point and after every accepted step (nonincreasing), ``status`` how the
+    solve ended, and ``cost_evals`` the calls of the cost, retries included."""
 
     point: np.ndarray
     cost_trace: np.ndarray
     status: str
-    iterations: int
-    grad_norm: float
     cost_evals: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cost_trace) - 1
 
     @property
     def final_cost(self) -> float:
@@ -149,14 +149,16 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     The previous gradient and search direction are transported by the same
     tangent projection before entering the Polak-Ribiere parameter, which is
     clamped at zero; any non-descent direction triggers a reset to steepest
-    descent.
+    descent. A search that fails along a conjugate direction is retried
+    once along -g from q; a failed search along -g, or a failed retry, ends
+    the solve as "line_search_stalled" at the last accepted point.
 
     Each search after the first starts where the previous one was accepted
     (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.5): at
-    min(q, 2 * accepted step) when the previous search accepted its first
-    trial, and at the accepted step when it backtracked. The steepest-descent
-    retry after a failed search starts at q again, and its first trial is q.
-    The acceptance test is unchanged, so the cost trace stays nonincreasing.
+    min(q, 2 * accepted step) when the accepted step was the first trial of
+    the search that produced it, and at the accepted step when that search
+    backtracked. The acceptance test is unchanged, so the cost trace stays
+    nonincreasing.
     """
     evals = 0
 
@@ -165,57 +167,50 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
         evals += 1
         return cost(point)
 
+    def search(x, d, g, j, params):
+        try:
+            return armijo_search(counted_cost, x, d, g, params, cost_at_base=j,
+                                 retraction=retraction)
+        except LineSearchError:
+            return None
+
     x = np.asarray(x0, dtype=complex)
     g = project(x, euclidean_grad(x))
     d = -g
     j = float(counted_cost(x))
     trace = [j]
     status = "max_iterations"
-    gnorm = float(np.linalg.norm(g))
     warm = armijo
-    it = 0
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
+        gnorm = float(np.linalg.norm(g))
         if gnorm < grad_tol:
             status = "gradient_tolerance"
-            it -= 1
             break
         if real_inner(g, d) >= 0.0 and np.any(d != 0):
             d = -g
-        first = warm.initial_step
-        try:
-            accepted = armijo_search(counted_cost, x, d, g, warm, cost_at_base=j,
-                                     retraction=retraction)
-        except LineSearchError:
-            if np.array_equal(d, -g):
-                status = "line_search_stalled"
-                it -= 1
-                break
-            d = -g
-            first = armijo.initial_step
-            try:
-                accepted = armijo_search(counted_cost, x, d, g, armijo, cost_at_base=j,
-                                         retraction=retraction)
-            except LineSearchError:
-                status = "line_search_stalled"
-                it -= 1
-                break
+        params = warm
+        accepted = search(x, d, g, j, params)
+        if accepted is None and not np.array_equal(d, -g):
+            d, params = -g, armijo
+            accepted = search(x, d, g, j, params)
+        if accepted is None:
+            status = "line_search_stalled"
+            break
         x_new, j_new = accepted.point, accepted.cost
         if accepted.step > 0.0:  # a step halved past the smallest float is 0
             start = (min(armijo.initial_step, 2.0 * accepted.step)
-                     if accepted.step == first else accepted.step)
+                     if accepted.step == params.initial_step else accepted.step)
             warm = replace(armijo, initial_step=start)
         g_new = project(x_new, euclidean_grad(x_new))
         beta = max(0.0, real_inner(g_new, g_new - project(x_new, g)) / (gnorm * gnorm))
         d = -g_new + beta * project(x_new, d)
         rel_drop = (j - j_new) / max(abs(j), np.finfo(float).tiny)
         x, g, j = x_new, g_new, j_new
-        gnorm = float(np.linalg.norm(g))
         trace.append(j)
         if rel_drop < cost_tol:
             status = "cost_tolerance"
             break
-    return CgResult(point=x, cost_trace=np.asarray(trace), status=status,
-                    iterations=it, grad_norm=gnorm, cost_evals=evals)
+    return CgResult(point=x, cost_trace=np.asarray(trace), status=status, cost_evals=evals)
 
 
 def rcg_minimize(cost: Callable[[np.ndarray], float],

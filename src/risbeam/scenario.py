@@ -434,11 +434,13 @@ def _coerce(value, hint, path: str):
             raise ValueError(f"{path}: expected {len(args)} entries, got {len(value)}")
         return tuple(_coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
     if hint is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"{path}: expected an integer, got {value!r}")
         return int(value)
     if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # JSON's NaN loads as a float; no field has a meaning for it
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
             raise ValueError(f"{path}: expected a number, got {value!r}")
         return float(value)
     raise ValueError(f"{path}: unsupported config field type {hint!r}")

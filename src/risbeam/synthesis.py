@@ -76,43 +76,47 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
 class SynthesisResult:
     """Winning multi-start design plus its diagnostics.
 
-    ``outer_cost_trace`` records the cost after every alternation round;
-    ``inner_cost_traces`` the per-subproblem traces in execution order
-    (precoder step, phase step, precoder step, ...), and ``inner_statuses``
-    and ``inner_cost_evals`` the ``CgResult.status`` and
-    ``CgResult.cost_evals`` of each of those solves. ``outer_capped`` is
-    true when the alternation stopped at ``outer_max_iters`` rounds before
-    its relative cost drop fell below a positive ``outer_tol``.
+    ``solves`` holds the ``CgResult`` of every inner solve of the winning
+    start in execution order (precoder, phases, precoder, ...), and
+    ``initial_cost`` the cost of its random start; the outer trace and the
+    final cost follow from them. ``outer_capped`` is true when the
+    alternation stopped at ``outer_max_iters`` rounds before its relative
+    cost drop fell below a positive ``outer_tol``.
     """
 
     theta: np.ndarray
     precoder: np.ndarray
-    outer_cost_trace: np.ndarray
-    inner_cost_traces: tuple
-    inner_statuses: tuple
-    inner_cost_evals: tuple
+    solves: tuple
+    initial_cost: float
     achieved_pattern: np.ndarray
     flat_top_ripple_db: float
     grid: AngularGrid
     target_values: np.ndarray
     start_index: int
-    final_cost: float
     outer_capped: bool
+
+    @property
+    def outer_cost_trace(self) -> np.ndarray:
+        """The initial cost, then the cost after every alternation round."""
+        return np.asarray([self.initial_cost] + [s.final_cost for s in self.solves[1::2]])
+
+    @property
+    def final_cost(self) -> float:
+        return float(self.outer_cost_trace[-1])
 
     def concatenated_trace(self) -> np.ndarray:
         """All inner traces joined in execution order (nonincreasing)."""
-        if not self.inner_cost_traces:
+        if not self.solves:
             return self.outer_cost_trace
-        return np.concatenate(self.inner_cost_traces)
+        return np.concatenate([s.cost_trace for s in self.solves])
 
     def diagnostics(self) -> dict:
         """The solves of this start in execution order: round, block,
         iterations, cost evaluations and status of each."""
         return {"solves": [
             {"round": i // 2 + 1, "block": ("precoder", "theta")[i % 2],
-             "iterations": len(trace) - 1, "cost_evals": evals, "status": status}
-            for i, (trace, evals, status) in enumerate(zip(
-                self.inner_cost_traces, self.inner_cost_evals, self.inner_statuses))]}
+             "iterations": s.iterations, "cost_evals": s.cost_evals, "status": s.status}
+            for i, s in enumerate(self.solves)]}
 
     def solver_warnings(self) -> list[str]:
         """One line per inner solve that hit its iteration cap or whose line
@@ -123,7 +127,7 @@ class SynthesisResult:
                  f"({s['iterations']} iterations)" for s in self.diagnostics()["solves"]
                  if s["status"] in ("max_iterations", "line_search_stalled")]
         if self.outer_capped:
-            lines.append(f"outer loop: max_iterations ({len(self.outer_cost_trace) - 1} rounds)")
+            lines.append(f"outer loop: max_iterations ({len(self.solves) // 2} rounds)")
         return lines
 
 
@@ -170,9 +174,8 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         w = rng.standard_normal((n_bs, num_streams)) + 1j * rng.standard_normal((n_bs, num_streams))
         w = w / np.linalg.norm(w)
 
-        cost_now = _PhaseSolve(stats, grid, f, weight_rule, w).cost(theta)
-        outer_trace = [cost_now]
-        steps = []
+        initial_cost = cost_now = float(_PhaseSolve(stats, grid, f, weight_rule, w).cost(theta))
+        solves = []
         outer_capped = False
         for _ in range(outer_max_iters):
             w_step = optimize_precoder(w, theta, stats, target, grid, weight_config,
@@ -183,12 +186,10 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
             t_step = rcg_minimize(solve.cost, solve.grad, theta, armijo,
                                   inner_grad_tol, inner_cost_tol, inner_max_iters)
             theta = t_step.point
-            steps += [w_step, t_step]
+            solves += [w_step, t_step]
 
-            cost_new = t_step.final_cost
-            rel_drop = (cost_now - cost_new) / max(abs(cost_now), np.finfo(float).tiny)
-            cost_now = cost_new
-            outer_trace.append(cost_now)
+            rel_drop = (cost_now - t_step.final_cost) / max(abs(cost_now), np.finfo(float).tiny)
+            cost_now = t_step.final_cost
             if rel_drop < outer_tol:
                 break
         else:
@@ -197,15 +198,10 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
 
         achieved = normalized_pattern(theta, w, stats, grid)
         candidate = SynthesisResult(
-            theta=theta, precoder=w / np.linalg.norm(w),
-            outer_cost_trace=np.asarray(outer_trace),
-            inner_cost_traces=tuple(step.cost_trace for step in steps),
-            inner_statuses=tuple(step.status for step in steps),
-            inner_cost_evals=tuple(step.cost_evals for step in steps),
-            achieved_pattern=achieved,
+            theta=theta, precoder=w / np.linalg.norm(w), solves=tuple(solves),
+            initial_cost=initial_cost, achieved_pattern=achieved,
             flat_top_ripple_db=flat_top_ripple_db(achieved, target, grid.angles),
-            grid=grid, target_values=f, start_index=start,
-            final_cost=float(cost_now), outer_capped=outer_capped,
+            grid=grid, target_values=f, start_index=start, outer_capped=outer_capped,
         )
         if best is None or candidate.final_cost < best.final_cost:
             best = candidate

@@ -57,8 +57,8 @@ def test_convergence_traces(reference_design):
     _, _, _, result, _ = reference_design
     outer = result.outer_cost_trace
     outer_ok = bool(np.all(np.diff(outer) <= 1e-9 * outer[0]))
-    inner_ok = all(np.all(np.diff(t) <= 1e-9 * max(1.0, t[0]))
-                   for t in result.inner_cost_traces)
+    inner_ok = all(np.all(np.diff(s.cost_trace) <= 1e-9 * max(1.0, s.cost_trace[0]))
+                   for s in result.solves)
     reduction = result.final_cost / outer[0]
     ok = outer_ok and inner_ok and reduction < 0.10
     _announce("convergence",

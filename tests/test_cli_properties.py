@@ -98,6 +98,12 @@ OUT_OF_RANGE = {
                                              st.floats(min_value=180.0), st.just(math.nan)),
     "beamshift.incident_to_deg": st.one_of(st.floats(max_value=0.0),
                                            st.floats(min_value=180.0), st.just(math.nan)),
+    # JSON's NaN loads as a float; no float field accepts it
+    "tx_power_dbm": st.just(math.nan),
+    "bs_position": st.just([math.nan, 0.0]),
+    "flat_weight": st.just(math.nan),
+    "optimizer.initial_step": st.sampled_from([math.nan, math.inf]),
+    "ofdma.p_sweep_dbm": st.just([10.0, math.nan]),
 }
 
 

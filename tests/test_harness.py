@@ -385,6 +385,10 @@ class TestRunBroadcastCdf:
     def test_warnings_reported(self, cdf_run):
         _, _, report = cdf_run
         assert isinstance(report["payload"]["warnings"], list)
+        # the design's per-solve counts, as synthesize reports them
+        solves = report["payload"]["diagnostics"]["solves"]
+        assert [s["block"] for s in solves[:2]] == ["precoder", "theta"]
+        assert all(s["cost_evals"] > s["iterations"] >= 0 for s in solves)
 
     def test_zero_trials_clean(self, tmp_path):
         config = _tiny_config(realizations=0)
@@ -531,7 +535,10 @@ class TestRunBeamshift:
         warnings = report["payload"]["warnings"]
         assert len(warnings) == 4
         assert warnings[-1] == "round 2 theta solve: max_iterations (4 iterations)"
-        assert "warnings" not in (tmp_path / "beamshift.txt").read_text()
+        solves = report["payload"]["diagnostics"]["solves"]
+        assert [(s["status"], s["iterations"]) for s in solves] == [("max_iterations", 4)] * 4
+        text = (tmp_path / "beamshift.txt").read_text()
+        assert "warnings" not in text and "diagnostics" not in text
 
 
     def test_region_outside_prediction_hypothesis_fails(self, tmp_path, monkeypatch):
@@ -576,7 +583,17 @@ class TestRunScalingProbe:
         assert warnings[3] == ("cell (16 elements, 40 deg, seed 2): "
                                "round 2 theta solve: max_iterations (4 iterations)")
         assert warnings[7].startswith("cell (16 elements, 40 deg, seed 3): round 2 theta")
-        assert "warnings" not in (tmp_path / "scaling.csv").read_text()
+        # each cell's capped solves in diagnostics are its warning lines
+        cells = report["payload"]["diagnostics"]["cells"]
+        assert [(c["num_elements"], c["beamwidth_deg"], c["seed"]) for c in cells] == [
+            (16, pytest.approx(40.0), 2), (16, pytest.approx(40.0), 3)]
+        assert [f"cell ({c['num_elements']} elements, {c['beamwidth_deg']:g} deg, "
+                f"seed {c['seed']}): round {s['round']} {s['block']} solve: "
+                f"{s['status']} ({s['iterations']} iterations)"
+                for c in cells for s in c["solves"] if s["status"] == "max_iterations"
+                ] == warnings
+        text = (tmp_path / "scaling.csv").read_text()
+        assert "warnings" not in text and "diagnostics" not in text
 
 
 class TestCli:
@@ -635,6 +652,16 @@ class TestCli:
         ({"gradcheck": {"fd_step": 0}}, "scenario.gradcheck.fd_step"),
         ({"gradcheck": {"threshold": -1e-4}}, "scenario.gradcheck.threshold"),
         ({"seed": -1}, "scenario.seed"),
+        # JSON's NaN loads as a float; no float field accepts it
+        ({"tx_power_dbm": math.nan}, "scenario.tx_power_dbm"),
+        ({"bs_position": [math.nan, 0.0]}, "scenario.bs_position[0]"),
+        ({"flat_weight": math.nan}, "scenario.flat_weight"),
+        ({"optimizer": {"initial_step": math.nan}}, "scenario.optimizer.initial_step"),
+        ({"optimizer": {"initial_step": math.inf}}, "scenario.optimizer.initial_step"),
+        ({"ofdma": {"p_sweep_dbm": [10.0, math.nan]}}, "scenario.ofdma.p_sweep_dbm[1]"),
+        # an integer field rejects NaN and Infinity with its path
+        ({"users": math.nan}, "scenario.users"),
+        ({"users": math.inf}, "scenario.users"),
         ({"scaling": {"beamwidths_deg": [40, 0]}}, "scenario.scaling.beamwidths_deg"),
         # the 40 degree cell around 165 degrees runs past 180 degrees
         ({"scaling": {"center_deg": 165, "beamwidths_deg": [20, 40]}},

@@ -142,6 +142,36 @@ class TestArmijo:
                           ArmijoParams(max_halvings=10), cost_at_base=0.0)
 
 
+def _scripted_searches(monkeypatch, script):
+    """Replace the CG's Armijo search: search i backtracks ``script[i]``
+    times from its first step and is accepted, or fails when that entry is
+    None. Returns the log of (first step, along -g) of every search."""
+    import risbeam.manifold as manifold
+
+    script = iter(script)
+    searches = []
+
+    def scripted_search(cost, base, direction, grad, params, retraction, **_):
+        halvings = next(script)
+        searches.append((params.initial_step, np.array_equal(direction, -grad)))
+        if halvings is None:
+            raise LineSearchError("scripted failure")
+        step = params.initial_step * params.contraction ** halvings
+        point = retraction(base + step * direction)
+        return manifold.ArmijoResult(step=step, point=point, cost=cost(point))
+
+    monkeypatch.setattr(manifold, "armijo_search", scripted_search)
+    return searches
+
+
+def _scripted_problem():
+    """Cost, gradient and start of the scripted-search tests: a start whose
+    second direction is not steepest descent."""
+    rng = _rng(21)
+    cost, grad = _quadratic(random_unit_modulus(12, rng))
+    return cost, grad, random_unit_modulus(12, rng)
+
+
 class TestRcg:
     def test_zero_gradient_start_returns_immediately(self):
         theta = _point(5, seed=13)
@@ -236,26 +266,10 @@ class TestRcg:
         # retry starts at q and backtracks three times to the failed warm
         # start q/8; measured against q that is a backtrack, so the next
         # search starts at q/8, not at 2 * q/8
-        import risbeam.manifold as manifold
-
         q = ArmijoParams().initial_step
-        script = iter([3, None, 3, 0, 0])  # halvings before acceptance; None fails
-        searches = []
-
-        def scripted_search(cost, base, direction, grad, params, retraction, **_):
-            halvings = next(script)
-            searches.append((params.initial_step, np.array_equal(direction, -grad)))
-            if halvings is None:
-                raise LineSearchError("scripted failure")
-            step = params.initial_step * params.contraction ** halvings
-            point = retraction(base + step * direction)
-            return manifold.ArmijoResult(step=step, point=point, cost=cost(point))
-
-        monkeypatch.setattr(manifold, "armijo_search", scripted_search)
-        rng = _rng(21)  # a start whose second direction is not steepest descent
-        cost, grad = _quadratic(random_unit_modulus(12, rng))
-        res = rcg_minimize(cost, grad, random_unit_modulus(12, rng), max_iters=4,
-                           grad_tol=0.0, cost_tol=-np.inf)
+        searches = _scripted_searches(monkeypatch, [3, None, 3, 0, 0])
+        cost, grad, theta0 = _scripted_problem()
+        res = rcg_minimize(cost, grad, theta0, max_iters=4, grad_tol=0.0, cost_tol=-np.inf)
         assert res.iterations == 4
         starts = [start for start, _ in searches]
         assert starts == [q, q / 8, q, q / 8, q / 4]
@@ -264,6 +278,41 @@ class TestRcg:
         assert res.cost_evals == 5
         # the failed search ran along a conjugate direction, its retry along -g
         assert not searches[1][1] and searches[2][1]
+
+    def test_failed_steepest_descent_search_stalls_without_retry(self, monkeypatch):
+        # the first direction is -g, so its failure has nothing to retry
+        q = ArmijoParams().initial_step
+        searches = _scripted_searches(monkeypatch, [None])
+        cost, grad, theta0 = _scripted_problem()
+        res = rcg_minimize(cost, grad, theta0, max_iters=4, grad_tol=0.0, cost_tol=-np.inf)
+        assert res.status == "line_search_stalled"
+        np.testing.assert_array_equal(res.cost_trace, [cost(theta0)])
+        assert res.iterations == 0 and res.cost_evals == 1
+        assert searches == [(q, True)]
+        np.testing.assert_array_equal(res.point, theta0)
+
+    def test_failed_retry_stalls(self, monkeypatch):
+        # one accepted search at q/8, then a failed warm search along a
+        # conjugate direction and a failed steepest-descent retry from q
+        q = ArmijoParams().initial_step
+        searches = _scripted_searches(monkeypatch, [3, None, None])
+        cost, grad, theta0 = _scripted_problem()
+        res = rcg_minimize(cost, grad, theta0, max_iters=4, grad_tol=0.0, cost_tol=-np.inf)
+        theta1 = retract(theta0 - q / 8 * project_tangent(theta0, grad(theta0)))
+        assert res.status == "line_search_stalled"
+        np.testing.assert_array_equal(res.cost_trace, [cost(theta0), cost(theta1)])
+        assert res.iterations == 1 and res.cost_evals == 2
+        assert searches == [(q, True), (q / 8, False), (q, True)]
+        np.testing.assert_array_equal(res.point, theta1)
+
+    def test_zero_iteration_cap(self, monkeypatch):
+        searches = _scripted_searches(monkeypatch, [])
+        cost, grad, theta0 = _scripted_problem()
+        res = rcg_minimize(cost, grad, theta0, max_iters=0, grad_tol=0.0, cost_tol=-np.inf)
+        assert res.status == "max_iterations"
+        np.testing.assert_array_equal(res.cost_trace, [cost(theta0)])
+        assert res.iterations == 0 and res.cost_evals == 1
+        assert searches == []
 
     def test_off_manifold_start_rejected(self):
         cost, grad = _quadratic(_point(3))

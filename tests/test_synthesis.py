@@ -221,7 +221,8 @@ class TestSynthesize:
 
     def test_inner_traces_nonincreasing(self, small_run):
         _, _, res = small_run
-        for trace in res.inner_cost_traces:
+        for solve in res.solves:
+            trace = solve.cost_trace
             assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0]))
         joined = res.concatenated_trace()
         assert np.all(np.diff(joined) <= 1e-9 * max(1.0, joined[0]))
@@ -235,9 +236,13 @@ class TestSynthesize:
 
     def test_statuses_follow_inner_traces(self, small_run):
         _, _, res = small_run
-        assert len(res.inner_statuses) == len(res.inner_cost_traces)
-        assert set(res.inner_statuses) <= {"cost_tolerance", "gradient_tolerance",
-                                           "max_iterations", "line_search_stalled"}
+        assert {s.status for s in res.solves} <= {"cost_tolerance", "gradient_tolerance",
+                                                  "max_iterations", "line_search_stalled"}
+        # the outer trace is the start's cost, then each theta solve's last
+        assert len(res.solves) == 2 * (len(res.outer_cost_trace) - 1)
+        assert res.outer_cost_trace[0] == res.initial_cost
+        assert list(res.outer_cost_trace[1:]) == [s.final_cost for s in res.solves[1::2]]
+        assert res.final_cost == res.outer_cost_trace[-1]
 
     def test_cost_evals_match_counted_calls(self, monkeypatch):
         # every solve's cost_evals equals a counting wrapper's tally of the
@@ -267,15 +272,15 @@ class TestSynthesize:
                          inner_max_iters=30, outer_max_iters=3, outer_tol=0.0)
         assert len(tallies) == 12  # two starts of three rounds of two solves
         winner = tallies[6 * res.start_index:6 * res.start_index + 6]
-        assert list(res.inner_cost_evals) == winner
+        assert [s.cost_evals for s in res.solves] == winner
         assert all(n > 0 for n in tallies)
         solves = res.diagnostics()["solves"]
         assert [s["cost_evals"] for s in solves] == winner
         assert [(s["round"], s["block"]) for s in solves] == [
             (r, block) for r in (1, 2, 3) for block in ("precoder", "theta")]
         assert [s["iterations"] for s in solves] == [
-            len(t) - 1 for t in res.inner_cost_traces]
-        assert [s["status"] for s in solves] == list(res.inner_statuses)
+            len(s.cost_trace) - 1 for s in res.solves]
+        assert [s["status"] for s in solves] == [s.status for s in res.solves]
 
     def test_capped_solves_warn(self):
         rng = np.random.default_rng(2)
@@ -286,7 +291,7 @@ class TestSynthesize:
         res = synthesize(target, stats, num_streams=1, seed=0, num_starts=1,
                          inner_max_iters=3, outer_max_iters=2, inner_cost_tol=0.0,
                          inner_grad_tol=0.0, outer_tol=0.0)
-        assert res.inner_statuses == ("max_iterations",) * 4
+        assert [s.status for s in res.solves] == ["max_iterations"] * 4
         assert res.solver_warnings() == [
             f"round {r} {kind} solve: max_iterations (3 iterations)"
             for r in (1, 2) for kind in ("precoder", "theta")]
@@ -315,14 +320,16 @@ class TestSynthesize:
 
     def test_only_capped_and_stalled_solves_warn(self, small_run):
         _, _, res = small_run
-        n = len(res.inner_statuses)
-        converged = dataclasses.replace(res, inner_statuses=("cost_tolerance",) * n,
-                                        outer_capped=False)
-        assert converged.solver_warnings() == []
-        stalled = dataclasses.replace(
-            converged, inner_statuses=("gradient_tolerance", "line_search_stalled")
-            + ("cost_tolerance",) * (n - 2))
-        iterations = len(res.inner_cost_traces[1]) - 1
+        def with_statuses(*statuses):
+            solves = tuple(dataclasses.replace(s, status=status)
+                           for s, status in zip(res.solves, statuses, strict=True))
+            return dataclasses.replace(res, solves=solves, outer_capped=False)
+
+        n = len(res.solves)
+        assert with_statuses(*("cost_tolerance",) * n).solver_warnings() == []
+        stalled = with_statuses("gradient_tolerance", "line_search_stalled",
+                                *("cost_tolerance",) * (n - 2))
+        iterations = len(res.solves[1].cost_trace) - 1
         assert stalled.solver_warnings() == [
             f"round 1 theta solve: line_search_stalled ({iterations} iterations)"]
 

@@ -8,15 +8,18 @@ DIR must be new or empty, so no file of an earlier run is digested. Each
 subcommand runs in a fresh process with SRC (default: this tree's src/) on
 PYTHONPATH and writes into DIR/<command>. Scenario keys such as
 batch_channels go in the --config file. The output lists
-`sha256  <command>/<file>` for every file but report.json (it holds the
-wall time), then `exit <code>  <command>` per run. Exit 1 when a run
-crashed: it left no report.json or exited with a usage error.
+`sha256  <command>/<file>` for every file a run wrote, then
+`exit <code>  <command>` per run. report.json holds the wall time, so its
+line reads `<command>/report.json -wall_time_s` and digests the canonical
+JSON (sorted keys, no spaces) of the report without that key. Exit 1 when
+a run crashed: it left no report.json or exited with a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -48,9 +51,13 @@ def main() -> int:
         exits.append(f"exit {code}  {command}")
         crashed |= code >= 2 or not (out / "report.json").is_file()
         for path in sorted(out.iterdir()) if out.is_dir() else ():
-            if path.name != "report.json":
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {command}/{path.name}")
+            data, name = path.read_bytes(), path.name
+            if name == "report.json":
+                report = json.loads(data)
+                del report["wall_time_s"]
+                data = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
+                name += " -wall_time_s"
+            print(f"{hashlib.sha256(data).hexdigest()}  {command}/{name}")
     print("\n".join(exits))
     return int(crashed)
 

@@ -54,18 +54,17 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.process_time()
         result = harness._design(dataclasses.replace(config, seed=seed))[2]
         took = time.process_time() - t0
-        by_block = {"precoder": 0, "theta": 0}
-        for solve in result.diagnostics()["solves"]:
-            by_block[solve["block"]] += solve["cost_evals"]
+        # solves alternate precoder, theta, precoder, ...
+        evals_w, evals_theta = (sum(s.cost_evals for s in result.solves[i::2]) for i in (0, 1))
+        statuses = [s.status for s in result.solves]
         print(f"{seed:>6} {took:>7.2f} {result.final_cost:>11.4e} "
-              f"{result.flat_top_ripple_db:>9.3f} {len(result.outer_cost_trace) - 1:>6} "
-              f"{by_block['precoder']:>8} {by_block['theta']:>11} "
-              f"{result.inner_statuses.count('max_iterations'):>6} "
-              f"{result.inner_statuses.count('line_search_stalled'):>7}", flush=True)
+              f"{result.flat_top_ripple_db:>9.3f} {len(result.solves) // 2:>6} "
+              f"{evals_w:>8} {evals_theta:>11} {statuses.count('max_iterations'):>6} "
+              f"{statuses.count('line_search_stalled'):>7}", flush=True)
         cpu += took
         costs.append(result.final_cost)
         ripples.append(result.flat_top_ripple_db)
-        evals += sum(by_block.values())
+        evals += evals_w + evals_theta
     print(f"{len(args.seeds)} seeds: cpu {cpu:.2f} s, median final cost "
           f"{statistics.median(costs):.4e}, worst ripple {max(ripples):.3f} dB, "
           f"cost evaluations {evals}")
