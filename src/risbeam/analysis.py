@@ -44,10 +44,11 @@ class LinkBudget:
     direct_gain: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.tx_power_w < 0 or self.noise_power_w <= 0:
-            raise ValueError("powers must be nonnegative (noise strictly positive)")
-        if min(self.bs_ris_gain, self.ris_user_gain, self.direct_gain) < 0:
-            raise ValueError("fading gains must be nonnegative")
+        if not (0 <= self.tx_power_w < math.inf and 0 < self.noise_power_w < math.inf):
+            raise ValueError("powers must be finite and nonnegative (noise strictly positive)")
+        if not all(0 <= g < math.inf for g in (self.bs_ris_gain, self.ris_user_gain,
+                                               self.direct_gain)):
+            raise ValueError("fading gains must be finite and nonnegative")
 
     @property
     def snr_scale(self) -> float:

@@ -117,10 +117,6 @@ class PathSet:
         if np.any(self.tap_indices < 0):
             raise ValueError("delay tap indices must be nonnegative")
 
-    @property
-    def num_paths(self) -> int:
-        return self.gains.shape[-1]
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -192,27 +188,21 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.SeedSequence | np.r
     lead = () if draws is None else (int(draws),)
     q = config.num_paths
 
-    if config.k_factor_db is None:
-        powers = np.full(q, 1.0 / q)
-        # force the exact unit sum the rest of the model relies on
-        powers[-1] = 1.0 - powers[:-1].sum()
-        noise = gen.standard_normal(lead + (q, 2))
-        gains = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers / 2.0)
+    los = int(config.k_factor_db is not None)  # the line-of-sight path is path 0
+    if los and math.isinf(config.k_factor_db):
+        los_power, residual = 1.0, 0.0
     else:
-        k = np.inf if math.isinf(config.k_factor_db) else 10.0 ** (config.k_factor_db / 10.0)
-        los_power = 1.0 if math.isinf(k) else k / (k + 1.0)
-        residual = 0.0 if math.isinf(k) else 1.0 / (k + 1.0)
-        nlos = np.full(q - 1, 1.0 / max(q - 1, 1)) * residual
-        powers = np.concatenate(([los_power], nlos))
-        if q > 1:
-            powers[-1] = 1.0 - powers[:-1].sum()
-        else:
-            powers[0] = 1.0
-        gains = np.empty(lead + (q,), dtype=complex)
+        k = 10.0 ** (config.k_factor_db / 10.0) if los else 0.0
+        los_power, residual = k / (k + 1.0), 1.0 / (k + 1.0)
+    powers = np.concatenate(([los_power][:los], np.full(q - los, 1.0 / max(q - los, 1))
+                             * residual))
+    # force the exact unit sum the rest of the model relies on
+    powers[-1] = 1.0 - powers[:-1].sum()
+    gains = np.empty(lead + (q,), dtype=complex)
+    if los:
         gains[..., 0] = np.sqrt(powers[0]) * np.exp(2j * np.pi * gen.uniform(size=lead or None))
-        if q > 1:
-            noise = gen.standard_normal(lead + (q - 1, 2))
-            gains[..., 1:] = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers[1:] / 2.0)
+    noise = gen.standard_normal(lead + (q - los, 2))
+    gains[..., los:] = (noise[..., 0] + 1j * noise[..., 1]) * np.sqrt(powers[los:] / 2.0)
 
     arrivals = gen.uniform(0.0, np.pi, size=lead + (q,))
     departures = gen.uniform(0.0, np.pi, size=lead + (q,))
@@ -293,6 +283,8 @@ def path_loss_linear(distance_m: float, exponent: float) -> float:
     """Large-scale fading factor: 30 dB at 1 m plus 10*exponent*log10(d)."""
     if not (math.isfinite(distance_m) and distance_m >= 1.0):
         raise ValueError("distance must be at least the 1 m reference")
+    if not math.isfinite(exponent):
+        raise ValueError(f"path-loss exponent must be finite, got {exponent}")
     return 10.0 ** (-0.1 * (30.0 + 10.0 * exponent * math.log10(distance_m)))
 
 

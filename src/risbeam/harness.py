@@ -22,7 +22,7 @@ from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats, samp
                       stream)
 from .manifold import random_unit_modulus
 from .pattern import region_masks
-from .scenario import ScenarioConfig, feed_channel, incident_angle
+from .scenario import ScenarioConfig, feed_channel
 from .synthesis import CoverageRegion, measure_minus3db_region, predict_shifted_region
 from .validation import gradient_check
 
@@ -311,15 +311,13 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
                    ["gradcheck.csv", "gradcheck.txt"], t0, 0 if ok else 1)
 
 
-def run_beamshift(config: ScenarioConfig, out_dir, from_deg: float | None = None,
-                  to_deg: float | None = None) -> dict:
+def run_beamshift(config: ScenarioConfig, out_dir) -> dict:
     """Synthesize a single-feed flat top, re-illuminate it from a different
     incident angle, and check the measured -3 dB region against the
     closed-form shift prediction to one grid bin; no prediction fails."""
     t0 = time.perf_counter()
     spec = config.beamshift
-    phi0 = incident_angle(spec.incident_from_deg if from_deg is None else from_deg)
-    phi1 = incident_angle(spec.incident_to_deg if to_deg is None else to_deg)
+    phi0, phi1 = math.radians(spec.incident_from_deg), math.radians(spec.incident_to_deg)
     out = _ensure_dir(out_dir)
     feed_departure = np.random.default_rng(stream(config.seed, "beamshift-feed")).uniform(0, np.pi)
 

@@ -134,13 +134,6 @@ class OfdmaEvalSpec:
                              default_flat_power(self.ris_elements, hi - lo))
 
 
-def incident_angle(degrees: float) -> float:
-    """Incident angle in radians; the shift prediction needs (0, 180) degrees."""
-    if not 0.0 < degrees < 180.0:
-        raise ValueError(f"incident angle must lie in (0, 180) degrees, got {degrees}")
-    return math.radians(degrees)
-
-
 @dataclass(frozen=True)
 class BeamShiftSpec:
     """Single-path design used to check the shifted-coverage prediction."""
@@ -154,7 +147,10 @@ class BeamShiftSpec:
         _check("scenario.beamshift", "ris_elements", lambda: ArrayGeometry(self.ris_elements))
         _check("scenario.beamshift", "coverage_deg", self.target)
         for name in ("incident_from_deg", "incident_to_deg"):
-            _check("scenario.beamshift", name, lambda: incident_angle(getattr(self, name)))
+            # the shift prediction needs incident angles inside (0, 180) degrees
+            if not 0.0 < getattr(self, name) < 180.0:
+                raise ValueError(f"scenario.beamshift.{name}: incident angle must lie in "
+                                 f"(0, 180) degrees, got {getattr(self, name)}")
 
     def target(self) -> TargetPattern:
         lo, hi = (math.radians(d) for d in self.coverage_deg)
@@ -363,7 +359,7 @@ class ScenarioConfig:
         _check("scenario", "ris_user_paths ris_user_k_factor_db", self.ris_user_channel)
         _check("scenario", "direct_paths", self.direct_channel)
         _check("scenario", "tx_power_dbm noise_power_dbm bs_position ris_position "
-               "user_position", self.budget)
+               "user_position bs_ris_exponent ris_user_exponent direct_exponent", self.budget)
 
     # -- serialization -----------------------------------------------------
 

@@ -133,7 +133,7 @@ class TestPathSet:
 
     def test_batched_shapes_checked(self):
         ok = PathSet(np.ones((2, 1)), [[0.1], [0.2]], [[0.3], [0.4]], [[0], [1]], [1.0])
-        assert ok.num_paths == 1
+        assert ok.gains.shape[-1] == 1
         with pytest.raises(ValueError):  # angles must follow the draw axis
             PathSet(np.ones((2, 1)), [0.1], [[0.3], [0.4]], [[0], [1]], [1.0])
         with pytest.raises(ValueError):  # mean powers are per path, not per draw
@@ -214,6 +214,13 @@ class TestSamplePaths:
             departure_angles=[1.2832564213357422, 0.14223621655377514],
             tap_indices=[0, 0],
             mean_powers=[0.5, 0.5])),
+        # line of sight alone: the diffuse draw is empty and consumes nothing
+        (ChannelConfig(num_paths=1, k_factor_db=math.inf, delay_spread_taps=3), 3, dict(
+            gains=[0.8586585755304812 + 0.5125479984040178j],
+            arrival_angles=[0.7439621478151841],
+            departure_angles=[2.517277973401507],
+            tap_indices=[3],
+            mean_powers=[1.0])),
     ])
     def test_unbatched_stream_unchanged(self, cfg, seed, golden):
         # the values a single draw has always returned for this seed
@@ -235,7 +242,6 @@ class TestSamplePaths:
         one = sample_paths(cfg, 77)
         batch = sample_paths(cfg, 77, draws=1)
         assert batch.gains.shape == (1, cfg.num_paths)
-        assert batch.num_paths == cfg.num_paths
         for name in ("gains", "arrival_angles", "departure_angles", "tap_indices"):
             assert np.array_equal(getattr(batch, name)[0], getattr(one, name)), name
         assert np.array_equal(batch.mean_powers, one.mean_powers)

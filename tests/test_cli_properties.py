@@ -99,7 +99,12 @@ OUT_OF_RANGE = {
     "beamshift.incident_to_deg": st.one_of(st.floats(max_value=0.0),
                                            st.floats(min_value=180.0), st.just(math.nan)),
     # JSON's NaN loads as a float; no float field accepts it
-    "tx_power_dbm": st.just(math.nan),
+    "tx_power_dbm": st.sampled_from([math.nan, math.inf]),
+    # an infinite link budget has no meaning (-Infinity dBm, 0 W, is a valid power)
+    "noise_power_dbm": st.sampled_from([math.inf, -math.inf]),
+    "bs_ris_exponent": st.sampled_from([math.inf, -math.inf]),
+    "ris_user_exponent": st.sampled_from([math.inf, -math.inf]),
+    "direct_exponent": st.sampled_from([math.inf, -math.inf]),
     "bs_position": st.just([math.nan, 0.0]),
     "flat_weight": st.just(math.nan),
     "optimizer.initial_step": st.sampled_from([math.nan, math.inf]),

@@ -522,8 +522,9 @@ class TestRunBeamshift:
             "seed": 7,
             "optimizer": {"num_starts": 1, "inner_max_iters": 200,
                           "outer_max_iters": 10},
+            "beamshift": {"incident_from_deg": 60.0, "incident_to_deg": 60.0},
         })
-        report = harness.run_beamshift(config, tmp_path, from_deg=60.0, to_deg=60.0)
+        report = harness.run_beamshift(config, tmp_path)
         assert report["exit_code"] == 0
         np.testing.assert_allclose(report["payload"]["predicted_region_deg"],
                                    report["payload"]["design_region_deg"], atol=1e-9)
@@ -551,8 +552,10 @@ class TestRunBeamshift:
         assert report["payload"]["predicted_region_deg"] is None
 
     def test_invalid_incident_angle_fails_before_synthesis(self, tmp_path):
-        with pytest.raises(ValueError, match="incident angle"):
-            harness.run_beamshift(ScenarioConfig(), tmp_path / "o", to_deg=180.0)
+        # the angles are scenario keys, so the config itself rejects them
+        with pytest.raises(ValueError, match="^scenario.beamshift.incident_to_deg: incident angle"):
+            harness.run_beamshift(ScenarioConfig.from_dict(
+                {"beamshift": {"incident_to_deg": 180.0}}), tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
 
@@ -652,6 +655,12 @@ class TestCli:
         ({"gradcheck": {"fd_step": 0}}, "scenario.gradcheck.fd_step"),
         ({"gradcheck": {"threshold": -1e-4}}, "scenario.gradcheck.threshold"),
         ({"seed": -1}, "scenario.seed"),
+        # infinite link-budget inputs; -Infinity dBm (0 W) stays a valid transmit power
+        ({"tx_power_dbm": math.inf}, "scenario.tx_power_dbm"),
+        ({"noise_power_dbm": math.inf}, "scenario.noise_power_dbm"),
+        ({"bs_ris_exponent": math.inf, "ris_position": [0.5, 0.0]},
+         "scenario.bs_ris_exponent"),
+        ({"direct_exponent": -math.inf}, "scenario.direct_exponent"),
         # JSON's NaN loads as a float; no float field accepts it
         ({"tx_power_dbm": math.nan}, "scenario.tx_power_dbm"),
         ({"bs_position": [math.nan, 0.0]}, "scenario.bs_position[0]"),
@@ -718,7 +727,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["broadcast-cdf", "ofdma-eval"])
-    @pytest.mark.parametrize("fraction", ["1", "-0.1", "nan"])
+    @pytest.mark.parametrize("fraction", ["1", "1.5", "-0.1", "nan"])
     def test_invalid_overhead_fraction_fails_fast(self, tmp_path, capsys, command, fraction):
         start = time.perf_counter()
         code = cli.main([command, "--overhead-fraction", fraction, "--out",
@@ -728,10 +737,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --overhead-fraction: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
+    def test_invalid_ripple_bound_fails_fast(self, tmp_path, capsys, bound):
+        start = time.perf_counter()
+        code = cli.main(["synthesize", "--assert-ripple-db", bound, "--out",
+                         str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --assert-ripple-db: ")
+        assert not (tmp_path / "o").exists()
+
+    # the angle flags override scenario keys, so they fail under the keys' paths
     @pytest.mark.parametrize("data, flags, field", [
-        ({}, ["--from-deg", "0"], "--from-deg"),
-        ({}, ["--to-deg", "180"], "--to-deg"),
-        ({}, ["--to-deg", "nan"], "--to-deg"),
+        ({}, ["--from-deg", "0"], "scenario.beamshift.incident_from_deg"),
+        ({}, ["--to-deg", "180"], "scenario.beamshift.incident_to_deg"),
+        ({}, ["--to-deg", "nan"], "scenario.beamshift.incident_to_deg"),
         ({"beamshift": {"incident_to_deg": 200}}, [], "scenario.beamshift.incident_to_deg"),
         ({"beamshift": {"incident_from_deg": -5}}, [], "scenario.beamshift.incident_from_deg"),
     ])
@@ -746,6 +766,28 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
+
+    def test_angle_flags_are_scenario_keys(self, tmp_path):
+        # a flag and the config key it names give one run under one config_hash
+        cfg = tmp_path / "cfg.json"
+        base = {"optimizer": CAPPED_OPT, "beamshift": {"ris_elements": 16}}
+        cfg.write_text(json.dumps(base))
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({**base, "beamshift": {
+            "ris_elements": 16, "incident_from_deg": 50, "incident_to_deg": 70}}))
+        runs = {"flags": (cfg, ["--from-deg", "50", "--to-deg", "70"]), "keys": (keyed, []),
+                "other": (cfg, ["--from-deg", "60"])}
+        for name, (path, flags) in runs.items():
+            assert cli.main(["beamshift", "--config", str(path), *flags, "--out",
+                             str(tmp_path / name)]) in (0, 1)
+        text, hashes = {}, {}
+        for name in runs:
+            text[name] = (tmp_path / name / "beamshift.txt").read_bytes()
+            hashes[name] = json.loads((tmp_path / name / "report.json").read_text())[
+                "config_hash"]
+        assert text["flags"] == text["keys"] and hashes["flags"] == hashes["keys"]
+        assert b"incident_from_deg: 50.0" in text["flags"]
+        assert hashes["other"] != hashes["flags"]
 
     @pytest.mark.parametrize("command, flags, csvs", [
         ("synthesize", ["--batch-channels", "1"], {"pattern.csv", "trace.csv",
