@@ -29,8 +29,7 @@ from .analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
                        avg_received_power, dbm_to_watts,
                        default_flat_power, equivalent_channel,
                        idealized_ofdma_channel_gains, idealized_received_power_mc,
-                       power_scaling_probe, precoded_channels, rate_scale,
-                       subcarrier_rates)
+                       precoded_channels, rate_scale, subcarrier_rates)
 from .scenario import ScenarioConfig
 from .validation import (full_matrix_phase_gradient, gradient_check,
                          relative_error, wirtinger_finite_difference)

@@ -10,17 +10,14 @@ fraction |coverage|/pi of the diffuse share, scaled by the flat-top gain.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .channel import (ArrayGeometry, ChannelConfig, PathSet, channel_stats,
-                      freq_gain, sample_paths, steering_matrix, stream)
-from .pattern import TargetPattern, region_masks
-from .synthesis import synthesize
+                      freq_gain, sample_paths, steering_matrix)
 
 # Users per block of `precoded_channels`: bounds its (block, M, paths)
 # steering stacks, which for a whole 1280-user realization would double
@@ -75,14 +72,6 @@ def default_flat_power(num_elements: int, beamwidth_rad: float) -> float:
     if not beamwidth_rad > 0.0:
         raise ValueError(f"covered beamwidth must be positive, got {beamwidth_rad}")
     return num_elements * math.pi / beamwidth_rad
-
-
-def scaling_cell_target(num_elements: int, beamwidth_rad: float,
-                        center: float) -> TargetPattern:
-    """Flat-top target of one power-scaling cell: ``beamwidth_rad`` around
-    ``center`` at the ``default_flat_power`` of ``num_elements``."""
-    return TargetPattern.for_coverage(center - beamwidth_rad / 2.0, center + beamwidth_rad / 2.0,
-                                      flat_power=default_flat_power(num_elements, beamwidth_rad))
 
 
 def equivalent_channel(ris_user_channel: np.ndarray, theta: np.ndarray,
@@ -312,38 +301,3 @@ def idealized_received_power_mc(stats: CoverageStats, budget: LinkBudget,
     scale = budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
     return (scale * num_ue_antennas * float(np.mean(np.abs(field) ** 2))
             + budget.noise_power_w)
-
-
-def power_scaling_probe(element_counts: Sequence[int], beamwidths_rad: Sequence[float],
-                        channel_config: ChannelConfig, num_bs_antennas: int,
-                        num_streams: int, center: float,
-                        seeds: Iterable[int] = (0, 1, 2),
-                        **synth_kwargs) -> list[dict]:
-    """Synthesize every (element count, beamwidth) cell and report the mean
-    achieved flat-top power; the scaling trends live in the caller's hands.
-
-    Each cell's target is ``scaling_cell_target``; every cell of one seed
-    shares that seed's "scaling-channel" and "scaling-starts" streams. Each
-    row also lists the synthesis's ``solver_warnings`` and ``diagnostics``.
-    """
-    rows: list[dict] = []
-    bs_geom = ArrayGeometry(num_bs_antennas)
-    # product reads each iterable once, so one-shot seed iterators cover every cell
-    for m, bw, seed in itertools.product(element_counts, beamwidths_rad, map(int, seeds)):
-        paths = sample_paths(channel_config, stream(seed, "scaling-channel"))
-        stats = channel_stats(paths, ArrayGeometry(int(m)), bs_geom)
-        target = scaling_cell_target(m, bw, center)
-        result = synthesize(target, stats, num_streams=num_streams,
-                            seed=stream(seed, "scaling-starts"), **synth_kwargs)
-        flat_mask, _, _ = region_masks(target, result.grid.angles)
-        rows.append({
-            "num_elements": int(m),
-            "beamwidth_rad": float(bw),
-            "seed": seed,
-            "target_flat_power": float(target.flat_power),
-            "achieved_flat_mean": float(result.achieved_pattern[flat_mask].mean()),
-            "ripple_db": float(result.flat_top_ripple_db),
-            "warnings": result.solver_warnings(),
-            "diagnostics": result.diagnostics(),
-        })
-    return rows

@@ -125,8 +125,8 @@ class ChannelConfig:
     ``k_factor_db`` splits the unit channel power between a line-of-sight
     path (index 0, deterministic magnitude, uniform random phase) and the
     remaining paths; ``None`` makes every path zero-mean complex Gaussian.
-    ``math.inf`` puts all power in the line-of-sight path. The diffuse paths
-    share their power equally.
+    ``math.inf`` puts all power in the line-of-sight path, ``-math.inf``
+    none of it. The diffuse paths share their power equally.
     ``angle_distribution`` is "uniform" for i.i.d. angles over [0, pi], or a
     pair (arrival_angles, departure_angles) of fixed lists.
     """
@@ -144,9 +144,14 @@ class ChannelConfig:
         if self.k_factor_db is not None:
             if math.isnan(self.k_factor_db):
                 raise ValueError("k_factor_db must not be NaN")
-            if self.num_paths == 1 and math.isfinite(self.k_factor_db):
+            if self.num_paths == 1 and self.k_factor_db != math.inf:
                 raise ValueError("a finite K-factor needs at least one diffuse path "
                                  "to carry the residual power")
+            try:
+                10.0 ** (self.k_factor_db / 10.0)
+            except OverflowError:
+                raise ValueError(f"K-factor {self.k_factor_db:g} dB overflows in linear "
+                                 "units (use Infinity for pure line-of-sight)") from None
         if isinstance(self.angle_distribution, str) and self.angle_distribution != "uniform":
             raise ValueError("angle_distribution must be 'uniform' or fixed lists")
 
@@ -189,7 +194,7 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.SeedSequence | np.r
     q = config.num_paths
 
     los = int(config.k_factor_db is not None)  # the line-of-sight path is path 0
-    if los and math.isinf(config.k_factor_db):
+    if los and config.k_factor_db == math.inf:
         los_power, residual = 1.0, 0.0
     else:
         k = 10.0 ** (config.k_factor_db / 10.0) if los else 0.0

@@ -364,37 +364,36 @@ def run_beamshift(config: ScenarioConfig, out_dir) -> dict:
 
 def run_scaling_probe(config: ScenarioConfig, out_dir) -> dict:
     """Synthesize every (element count, beamwidth) cell over several seeds
-    and tabulate the achieved flat-top mean power."""
+    and tabulate the achieved flat-top mean power. Every cell of one seed
+    shares that seed's "scaling-channel" and "scaling-starts" streams."""
     t0 = time.perf_counter()
     out = _ensure_dir(out_dir)
     spec = config.scaling
-    rows = analysis.power_scaling_probe(
-        spec.element_counts, [math.radians(b) for b in spec.beamwidths_deg],
-        feed_channel(spec.paths, None, config.cp_length),
-        spec.bs_antennas, spec.streams, math.radians(spec.center_deg),
-        seeds=range(config.seed, config.seed + spec.num_seeds),
-        **config.synthesis_kwargs())
+    feed = feed_channel(spec.paths, None, config.cp_length)
+    rows, cells, warnings, diagnostics = [], {}, [], []
+    for m, bw, seed in itertools.product(spec.element_counts, spec.beamwidths_deg,
+                                         range(config.seed, config.seed + spec.num_seeds)):
+        stats = channel_stats(sample_paths(feed, stream(seed, "scaling-channel")),
+                              ArrayGeometry(m), ArrayGeometry(spec.bs_antennas))
+        target = spec.cell_target(m, bw)
+        design = synthesis.synthesize(target, stats, spec.streams,
+                                      seed=stream(seed, "scaling-starts"),
+                                      **config.synthesis_kwargs())
+        flat_mask, _, _ = region_masks(target, design.grid.angles)
+        achieved = float(design.achieved_pattern[flat_mask].mean())
+        rows.append((m, bw, seed, target.flat_power, achieved, design.flat_top_ripple_db))
+        cells.setdefault((m, bw), []).append(achieved)
+        warnings += [f"cell ({m} elements, {bw:g} deg, seed {seed}): {line}"
+                     for line in design.solver_warnings()]
+        diagnostics.append({"num_elements": m, "beamwidth_deg": bw, "seed": seed,
+                            "solves": design.diagnostics()["solves"]})
     _write_csv(out / "scaling.csv",
                {"num_elements": "%d", "beamwidth_deg": _G, "seed": "%d",
-                "target_flat_power": _G, "achieved_flat_mean": _G, "ripple_db": _G},
-               ((r["num_elements"], math.degrees(r["beamwidth_rad"]), r["seed"],
-                 r["target_flat_power"], r["achieved_flat_mean"], r["ripple_db"])
-                for r in rows))
-    cells: dict[tuple[int, float], list[float]] = {}
-    for r in rows:
-        cells.setdefault((r["num_elements"], r["beamwidth_rad"]), []).append(
-            r["achieved_flat_mean"])
+                "target_flat_power": _G, "achieved_flat_mean": _G, "ripple_db": _G}, rows)
     payload = {
-        "cell_means": [
-            {"num_elements": m, "beamwidth_deg": math.degrees(bw),
-             "mean_achieved": float(np.mean(v))}
-            for (m, bw), v in sorted(cells.items())
-        ],
-        "warnings": [f"cell ({r['num_elements']} elements, "
-                     f"{math.degrees(r['beamwidth_rad']):g} deg, seed {r['seed']}): {line}"
-                     for r in rows for line in r["warnings"]],
-        "diagnostics": {"cells": [
-            {"num_elements": r["num_elements"], "beamwidth_deg": math.degrees(r["beamwidth_rad"]),
-             "seed": r["seed"], "solves": r["diagnostics"]["solves"]} for r in rows]},
+        "cell_means": [{"num_elements": m, "beamwidth_deg": bw, "mean_achieved": float(np.mean(v))}
+                       for (m, bw), v in sorted(cells.items())],
+        "warnings": warnings,
+        "diagnostics": {"cells": diagnostics},
     }
     return _finish(out, "scaling-probe", config, payload, ["scaling.csv"], t0)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (CoverageStats, LinkBudget, dbm_to_watts, default_flat_power,
-                       scaling_cell_target)
+from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power
 from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
 from .manifold import ArmijoParams
 from .pattern import AngularGrid, TargetPattern, WeightConfig, check_flat_top_resolved
@@ -35,10 +34,10 @@ PRESETS = {"paper": {"users": 1280, "realizations": 500},
 
 def _check(prefix: str, names: str, build):
     """Run ``build`` and name the fields ``names`` (space-separated, under
-    ``prefix``) in any ValueError it raises."""
+    ``prefix``) in any ValueError or overflow it raises."""
     try:
         build()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         fields = ", ".join(f"{prefix}.{name}" for name in names.split())
         raise ValueError(f"{fields}: {exc}") from None
 
@@ -185,8 +184,11 @@ class ScalingProbeSpec:
         _at_least(self, path, 1, "num_seeds streams")
 
     def cell_target(self, num_elements: int, beamwidth_deg: float) -> TargetPattern:
-        return scaling_cell_target(num_elements, math.radians(beamwidth_deg),
-                                   math.radians(self.center_deg))
+        """Flat-top target of one cell: ``beamwidth_deg`` around ``center_deg``
+        at the ``default_flat_power`` of ``num_elements``."""
+        width, center = math.radians(beamwidth_deg), math.radians(self.center_deg)
+        return TargetPattern.for_coverage(center - width / 2.0, center + width / 2.0,
+                                          flat_power=default_flat_power(num_elements, width))
 
 
 # Smallest size of each random gradcheck instance, in draw order.
@@ -438,5 +440,8 @@ def _coerce(value, hint, path: str):
         # JSON's NaN loads as a float; no field has a meaning for it
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
             raise ValueError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:  # a JSON integer past the float range
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{path}: number out of the float range") from None
     raise ValueError(f"{path}: unsupported config field type {hint!r}")

@@ -17,7 +17,7 @@ from risbeam import harness
 from risbeam.analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
                               avg_received_power, dbm_to_watts,
                               idealized_ofdma_channel_gains,
-                              idealized_received_power_mc, power_scaling_probe)
+                              idealized_received_power_mc)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
                              assemble_channel, channel_stats, sample_paths,
                              time_domain_channel)
@@ -296,19 +296,17 @@ def test_shifted_coverage_prediction():
     assert worst <= bin_rad
 
 
-def test_power_scaling_trends():
-    cfg = ChannelConfig(num_paths=3, k_factor_db=-10 * math.log10(2),
-                        delay_spread_taps=4)
-    rows = power_scaling_probe(
-        [32, 64], [math.radians(40.0), math.radians(20.0)], cfg,
-        num_bs_antennas=16, num_streams=2, center=math.radians(115.0),
-        seeds=(0, 1, 2), oversampling=10, num_starts=1,
-        inner_max_iters=150, outer_max_iters=10)
-    mean = {}
-    for r in rows:
-        key = (r["num_elements"], round(math.degrees(r["beamwidth_rad"])))
-        mean.setdefault(key, []).append(r["achieved_flat_mean"])
-    mean = {k: float(np.mean(v)) for k, v in mean.items()}
+def test_power_scaling_trends(tmp_path):
+    config = ScenarioConfig.from_dict({
+        "seed": 0, "cp_length": 4,
+        "optimizer": {"num_starts": 1, "inner_max_iters": 150, "outer_max_iters": 10},
+        "scaling": {"element_counts": [32, 64], "beamwidths_deg": [40.0, 20.0],
+                    "center_deg": 115.0, "num_seeds": 3, "paths": 3, "streams": 2,
+                    "bs_antennas": 16},
+    })
+    report = harness.run_scaling_probe(config, tmp_path)
+    mean = {(c["num_elements"], c["beamwidth_deg"]): c["mean_achieved"]
+            for c in report["payload"]["cell_means"]}
     ratio_m = mean[(64, 40)] / mean[(32, 40)]
     ratio_bw = mean[(32, 20)] / mean[(32, 40)]
     ok = 1.7 <= ratio_m <= 2.3 and 1.7 <= ratio_bw <= 2.3

@@ -7,7 +7,7 @@ from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget,
                               analytic_ofdma_rate, avg_received_power, dbm_to_watts,
                               equivalent_channel,
                               idealized_ofdma_channel_gains,
-                              idealized_received_power_mc, power_scaling_probe,
+                              idealized_received_power_mc,
                               precoded_channels, rate_scale, subcarrier_rates)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet, assemble_channel,
                              sample_paths)
@@ -245,27 +245,3 @@ class TestClosedForms:
         closed = analytic_ofdma_rate(stats, budget, 32, 64)
         assert abs(closed - mc) / mc < 0.06
 
-
-class TestScalingProbe:
-    def test_single_cell_single_seed(self):
-        rows = power_scaling_probe([12], [np.deg2rad(50)],
-                                   ChannelConfig(num_paths=2, delay_spread_taps=0),
-                                   num_bs_antennas=4, num_streams=1,
-                                   center=np.deg2rad(110), seeds=[0],
-                                   oversampling=6, num_starts=1,
-                                   inner_max_iters=60, outer_max_iters=5)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["num_elements"] == 12
-        assert row["achieved_flat_mean"] > 0
-
-    def test_seed_iterator_covers_every_cell(self):
-        # a one-shot iterator of seeds must reach the second cell too
-        rows = power_scaling_probe([8, 12], [np.deg2rad(50)],
-                                   ChannelConfig(num_paths=2, delay_spread_taps=0),
-                                   num_bs_antennas=4, num_streams=1,
-                                   center=np.deg2rad(110), seeds=iter([0, 1]),
-                                   oversampling=6, num_starts=1,
-                                   inner_max_iters=3, outer_max_iters=1)
-        assert [(r["num_elements"], r["seed"]) for r in rows] == [(8, 0), (8, 1), (12, 0),
-                                                                  (12, 1)]

@@ -175,9 +175,25 @@ class TestSamplePaths:
                      "tap_indices", "mean_powers"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_finite_k_needs_diffuse_path(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(num_paths=1, k_factor_db=3.0)
+    @pytest.mark.parametrize("k_db", [3.0, -math.inf])
+    def test_finite_k_needs_diffuse_path(self, k_db):
+        with pytest.raises(ValueError, match="needs at least one diffuse path"):
+            ChannelConfig(num_paths=1, k_factor_db=k_db)
+
+    def test_minus_infinite_k_is_rayleigh(self):
+        p = sample_paths(ChannelConfig(num_paths=3, k_factor_db=-math.inf, delay_spread_taps=4), 5)
+        np.testing.assert_array_equal(p.mean_powers, [0.0, 0.5, 0.5])
+        assert p.gains[0] == 0
+        # the line-of-sight phase is still drawn, so every later draw matches
+        # a vanishing finite K-factor's
+        q = sample_paths(ChannelConfig(num_paths=3, k_factor_db=-300.0, delay_spread_taps=4), 5)
+        for name in ("arrival_angles", "departure_angles", "tap_indices"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        np.testing.assert_array_equal(p.gains[1:], q.gains[1:])
+
+    def test_k_overflowing_linear_units_rejected(self):
+        with pytest.raises(ValueError, match="overflows in linear units"):
+            ChannelConfig(num_paths=3, k_factor_db=4000.0)
 
     def test_pure_nlos_uniform(self):
         p = sample_paths(ChannelConfig(num_paths=5), 9)

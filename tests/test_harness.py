@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-import risbeam.analysis
 import risbeam.synthesis
 import risbeam.validation
 from risbeam import cli, harness
@@ -279,7 +278,6 @@ class TestStreams:
 
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         monkeypatch.setattr(risbeam.synthesis, "synthesize", synthesize)
-        monkeypatch.setattr(risbeam.analysis, "synthesize", synthesize)
         return drawn, designs
 
     def test_runners_draw_independent_streams(self, tmp_path, monkeypatch):
@@ -560,19 +558,37 @@ class TestRunBeamshift:
 
 
 class TestRunScalingProbe:
-    def test_table_shape(self, tmp_path):
-        config = ScenarioConfig.from_dict({
-            "seed": 2,
-            "optimizer": {"num_starts": 1, "inner_max_iters": 80,
-                          "outer_max_iters": 6},
-            "scaling": {"element_counts": [16], "beamwidths_deg": [40.0],
-                        "num_seeds": 2, "paths": 2, "streams": 1,
-                        "bs_antennas": 8},
-        })
+    @pytest.mark.parametrize("data", [
+        {"seed": 2, "optimizer": {"num_starts": 1, "inner_max_iters": 80, "outer_max_iters": 6},
+         "scaling": {"element_counts": [16], "beamwidths_deg": [40.0], "num_seeds": 2,
+                     "paths": 2, "streams": 1, "bs_antennas": 8}},
+        {"seed": 0, "oversampling": 6, "cp_length": 0,
+         "optimizer": {"num_starts": 1, "inner_max_iters": 60, "outer_max_iters": 5},
+         "scaling": {"element_counts": [12, 16], "beamwidths_deg": [50.0, 40.0],
+                     "center_deg": 110.0, "num_seeds": 2, "paths": 2, "streams": 1,
+                     "bs_antennas": 4}},
+    ], ids=["one-cell", "four-cells"])
+    def test_table_shape(self, tmp_path, data):
+        config = ScenarioConfig.from_dict(data)
+        spec = config.scaling
+        seeds = range(config.seed, config.seed + spec.num_seeds)
         report = harness.run_scaling_probe(config, tmp_path)
-        lines = (tmp_path / "scaling.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 2  # one cell, two seeds
-        assert len(report["payload"]["cell_means"]) == 1
+        rows = np.genfromtxt(tmp_path / "scaling.csv", delimiter=",", names=True)
+        # one row per (elements, beamwidth, seed), in config order
+        assert [(r["num_elements"], r["beamwidth_deg"], r["seed"]) for r in rows] == [
+            (m, bw, seed) for m in spec.element_counts for bw in spec.beamwidths_deg
+            for seed in seeds]
+        assert np.all(rows["achieved_flat_mean"] > 0)
+        # one mean per cell, sorted, over that cell's own rows
+        means = report["payload"]["cell_means"]
+        assert [(c["num_elements"], c["beamwidth_deg"]) for c in means] == sorted(
+            (m, bw) for m in spec.element_counts for bw in spec.beamwidths_deg)
+        for c in means:
+            own = rows[(rows["num_elements"] == c["num_elements"])
+                       & (rows["beamwidth_deg"] == c["beamwidth_deg"])]
+            assert len(own) == len(seeds)
+            assert c["mean_achieved"] == pytest.approx(np.mean(own["achieved_flat_mean"]),
+                                                       rel=1e-11)
 
     def test_capped_solves_reported_per_cell(self, tmp_path):
         config = ScenarioConfig.from_dict({
@@ -661,6 +677,14 @@ class TestCli:
         ({"bs_ris_exponent": math.inf, "ris_position": [0.5, 0.0]},
          "scenario.bs_ris_exponent"),
         ({"direct_exponent": -math.inf}, "scenario.direct_exponent"),
+        # finite values whose linear powers or gains overflow
+        ({"bs_ris_exponent": -1000}, "scenario.bs_ris_exponent"),
+        ({"tx_power_dbm": 1e6}, "scenario.tx_power_dbm"),
+        ({"noise_power_dbm": 1e6}, "scenario.noise_power_dbm"),
+        ({"ofdma": {"k_sweep_db": [4000]}}, "scenario.ofdma.k_sweep_db"),
+        ({"ris_user_k_factor_db": 4000}, "scenario.ris_user_k_factor_db"),
+        # a JSON integer that no float holds
+        ({"tx_power_dbm": 10 ** 400}, "scenario.tx_power_dbm"),
         # JSON's NaN loads as a float; no float field accepts it
         ({"tx_power_dbm": math.nan}, "scenario.tx_power_dbm"),
         ({"bs_position": [math.nan, 0.0]}, "scenario.bs_position[0]"),
