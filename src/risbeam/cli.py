@@ -5,21 +5,19 @@ Subcommands: synthesize | broadcast-cdf | ofdma-eval | gradcheck | beamshift
 report.json into --out; exit status is nonzero when a command's assertion
 fails (gradient threshold, ripple bound, shift mismatch).
 
-A flag whose dest is ``scenario.<key>`` overrides that scenario key, so the
-scenario's checks and ``config_hash`` cover it; every other flag is a keyword
-argument of the command's runner ``harness.run_<command>``, checked before
-any work.
+Every flag but --config, --out and --preset has the dest ``scenario.<key>``
+and overrides that scenario key, so the scenario's checks and ``config_hash``
+cover it; the command's runner ``harness.run_<command>`` takes the scenario
+and the output directory alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import harness
-from .analysis import rate_scale
 from .scenario import PRESETS, ScenarioConfig
 
 
@@ -40,12 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=tuple(PRESETS), default="ci",
                         help="trial-count preset (default: ci)")
     overhead = argparse.ArgumentParser(add_help=False)
-    overhead.add_argument("--overhead-fraction", type=float, default=0.0, metavar="F",
+    # no default: it would override the config file's overhead_fraction
+    overhead.add_argument("--overhead-fraction", type=float, metavar="F",
+                          dest="scenario.overhead_fraction",
                           help="scale rates by (1 - F) for estimation overhead")
 
     p = sub.add_parser("synthesize", parents=[common], help="synthesize the flat-top "
                        "design, emit pattern.csv / trace.csv / result.json")
     p.add_argument("--assert-ripple-db", type=float, metavar="X",
+                   dest="scenario.assert_ripple_db",
                    help="fail (exit 1) when the flat-top ripple exceeds X dB")
     p.add_argument("--batch-channels", type=int, metavar="N", dest="scenario.batch_channels",
                    help="also synthesize over N fresh channel draws and emit "
@@ -69,18 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ripple_bound(config: ScenarioConfig, db: float) -> None:
-    if not 0.0 <= db < math.inf:
-        raise ValueError(f"ripple bound must be finite and nonnegative, got {db}")
-
-
-# Each runner flag's check of a given value; it raises ValueError.
-_RUNNER_FLAG_CHECKS = {
-    "assert_ripple_db": _ripple_bound,
-    "overhead_fraction": lambda config, f: rate_scale(config.subcarriers, config.cp_length, f),
-}
-
-
 def _override(spec, path: str, value):
     """``spec`` with the key at the dotted ``path`` set to ``value``."""
     key, dot, rest = path.partition(".")
@@ -88,36 +77,26 @@ def _override(spec, path: str, value):
         key: _override(getattr(spec, key), rest, value) if dot else value})
 
 
-def _load_config(args: argparse.Namespace) -> tuple[ScenarioConfig, dict]:
-    """The scenario with every given ``scenario.<key>`` flag applied, and the
-    runner's keyword arguments: the other flags, each checked."""
+def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario with every given ``scenario.<key>`` flag applied."""
     config = ScenarioConfig.load(args.config, args.preset)
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "config", "out", "preset")}
-    for dest, value in flags.items():
+    for dest, value in vars(args).items():
         if dest.startswith("scenario.") and value is not None:
             config = _override(config, dest.removeprefix("scenario."), value)
-    runner_flags = {k: v for k, v in flags.items() if not k.startswith("scenario.")}
-    for name, value in runner_flags.items():
-        if value is not None:
-            try:
-                _RUNNER_FLAG_CHECKS[name](config, value)
-            except ValueError as exc:
-                raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
-    return config, runner_flags
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config, runner_flags = _load_config(args)
+        config = _load_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     # looked up at call time, so a rebound runner is the one that runs
     run = getattr(harness, "run_" + args.command.replace("-", "_"))
-    report = run(config, args.out, **runner_flags)
+    report = run(config, args.out)
     summary = {k: v for k, v in report["payload"].items()
                if not isinstance(v, (list, dict))}
     for key, value in summary.items():

@@ -1,9 +1,11 @@
 """Seeded experiment runners behind the command-line interface.
 
-Every runner is a pure function of (config, seed): data outputs (CSV and
-result documents) are byte-identical across re-runs; the run summary
-(report.json) additionally records wall time, the one field excluded from
-that determinism contract. Angles are degrees in files, radians internally.
+Every runner takes the scenario and an output directory alone and is a pure
+function of (config, seed): each option it reads is a scenario key, so
+report.json's ``config_hash`` names the run. Data outputs (CSV and result
+documents) are byte-identical across re-runs; the run summary (report.json)
+additionally records wall time, the one field excluded from that
+determinism contract. Angles are degrees in files, radians internally.
 """
 
 from __future__ import annotations
@@ -88,10 +90,10 @@ def _design(config: ScenarioConfig, *row: int):
     return paths, stats, result
 
 
-def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | None = None) -> dict:
+def run_synthesize(config: ScenarioConfig, out_dir) -> dict:
     """Synthesize the configured flat-top design; emit the pattern, the cost
     trace, and the full design document. Nonzero exit when the achieved
-    ripple exceeds ``assert_ripple_db``."""
+    ripple exceeds the scenario's ``assert_ripple_db``."""
     t0 = time.perf_counter()
     out = _ensure_dir(out_dir)
     paths, stats, result = _design(config)
@@ -143,15 +145,15 @@ def run_synthesize(config: ScenarioConfig, out_dir, assert_ripple_db: float | No
         outputs.append("pattern_stats.csv")
 
     exit_code = 0
-    if assert_ripple_db is not None and not result.flat_top_ripple_db <= assert_ripple_db:
-        payload["ripple_assertion"] = f"FAIL: {result.flat_top_ripple_db:.3f} dB > {assert_ripple_db} dB"
+    bound = config.assert_ripple_db
+    if bound is not None and not result.flat_top_ripple_db <= bound:
+        payload["ripple_assertion"] = f"FAIL: {result.flat_top_ripple_db:.3f} dB > {bound} dB"
         exit_code = 1
     return _finish(out, "synthesize", config, payload, outputs, t0, exit_code,
                    design=result)
 
 
-def run_broadcast_cdf(config: ScenarioConfig, out_dir,
-                      overhead_fraction: float = 0.0) -> dict:
+def run_broadcast_cdf(config: ScenarioConfig, out_dir) -> dict:
     """Empirical downlink-rate CDFs of the synthesized design against the
     random-phase and no-surface baselines, users at random angles inside the
     coverage with one subcarrier each, common channel draws across
@@ -165,7 +167,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
     """
     t0 = time.perf_counter()
     n_c = config.subcarriers
-    scale = analysis.rate_scale(n_c, config.cp_length, overhead_fraction)
+    scale = config.rate_scale()
     out = _ensure_dir(out_dir)
     design_paths, stats, design = _design(config)
     theta = design.theta
@@ -214,7 +216,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
         "median_rates": medians,
         "users": config.users,
         "realizations": config.realizations,
-        "overhead_fraction": overhead_fraction,
+        "overhead_fraction": config.overhead_fraction,
         "ripple_db": design.flat_top_ripple_db,
         "no_ris_strategy": "direct channel only, same broad-coverage precoder "
                            "(no instantaneous CSI at the transmitter)",
@@ -222,13 +224,12 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir,
     return _finish(out, "broadcast-cdf", config, payload, ["cdf.csv"], t0, design=design)
 
 
-def run_ofdma_eval(config: ScenarioConfig, out_dir,
-                   overhead_fraction: float = 0.0) -> dict:
+def run_ofdma_eval(config: ScenarioConfig, out_dir) -> dict:
     """Monte Carlo mean OFDMA rate under the ideal flat top next to its
     closed-form prediction, swept over the Rice factor and transmit power."""
     t0 = time.perf_counter()
     n_c = config.subcarriers
-    scale = analysis.rate_scale(n_c, config.cp_length, overhead_fraction)
+    scale = config.rate_scale()
     out = _ensure_dir(out_dir)
     spec = config.ofdma
     budget0 = config.budget()
@@ -263,7 +264,7 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir,
         "flat_power": analysis.default_flat_power(spec.ris_elements,
                                                   coverage[1] - coverage[0]),
         "realizations": spec.realizations,
-        "overhead_fraction": overhead_fraction,
+        "overhead_fraction": config.overhead_fraction,
     }
     return _finish(out, "ofdma-eval", config, payload, ["rates.csv", "analytic.txt"], t0)
 
@@ -275,8 +276,7 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
     t0 = time.perf_counter()
     out = _ensure_dir(out_dir)
     spec = config.gradcheck
-    worst = {"precoder_fd": 0.0, "phase_fd": 0.0, "full_matrix_fd": 0.0,
-             "diag_extraction": 0.0}
+    keys = ("precoder_fd", "phase_fd", "full_matrix_fd", "diag_extraction")
     rows = []
     for i in range(spec.instances):
         rng = np.random.default_rng(stream(config.seed, "gradcheck", i))
@@ -293,16 +293,14 @@ def run_gradcheck(config: ScenarioConfig, out_dir) -> dict:
         w /= np.linalg.norm(w)
         errs = gradient_check(stats, target, pattern.WeightConfig(), grid, theta, w,
                               fd_step=spec.fd_step)
-        for key in worst:
-            worst[key] = max(worst[key], errs[key])
-        rows.append((i, m, n_bs, n_d, n_paths, errs["precoder_fd"], errs["phase_fd"],
-                     errs["full_matrix_fd"], errs["diag_extraction"]))
+        rows.append((i, m, n_bs, n_d, n_paths, *(errs[key] for key in keys)))
     _write_csv(out / "gradcheck.csv",
                {"instance": "%d", "ris_elements": "%d", "bs_antennas": "%d", "streams": "%d",
-                "paths": "%d", "precoder_fd": _G, "phase_fd": _G, "full_matrix_fd": _G,
-                "diag_extraction": _G}, rows)
-    fd_worst = max(worst["precoder_fd"], worst["phase_fd"], worst["full_matrix_fd"])
-    ok = fd_worst < spec.threshold and worst["diag_extraction"] < 1e-8
+                "paths": "%d", **dict.fromkeys(keys, _G)}, rows)
+    # np.max keeps a NaN error, which max() would drop; it then fails its bound
+    errors = np.max([row[5:] for row in rows], axis=0)
+    ok = bool(np.all(errors < (spec.threshold,) * 3 + (1e-8,)))
+    worst = dict(zip(keys, errors.tolist()))
     lines = [f"max {k}: {v:.3e}" for k, v in worst.items()]
     lines.append(f"threshold {spec.threshold:g}: {'PASS' if ok else 'FAIL'}")
     (out / "gradcheck.txt").write_text("\n".join(lines) + "\n")

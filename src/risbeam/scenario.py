@@ -7,7 +7,8 @@ oversampling 10).
 
 Positions feed the large-scale fading factors only; path angles are drawn
 uniformly, so array orientation never enters. Every run is a pure function
-of (config, seed).
+of (config, seed): each option of a run, the estimation overhead and the
+asserted ripple bound included, is a key here, so ``config_hash`` names it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power
+from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power, rate_scale
 from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
 from .manifold import ArmijoParams
 from .pattern import AngularGrid, TargetPattern, WeightConfig, check_flat_top_resolved
@@ -259,6 +260,8 @@ class ScenarioConfig:
     users: int = 128
     realizations: int = 100
     batch_channels: int = 0
+    overhead_fraction: float = 0.0
+    assert_ripple_db: float | None = None
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     ofdma: OfdmaEvalSpec = field(default_factory=OfdmaEvalSpec)
     beamshift: BeamShiftSpec = field(default_factory=BeamShiftSpec)
@@ -299,6 +302,11 @@ class ScenarioConfig:
                     inner_cost_tol=opt.inner_cost_tol,
                     outer_max_iters=opt.outer_max_iters,
                     outer_tol=opt.outer_tol)
+
+    def rate_scale(self) -> float:
+        """Factor on every reported rate: cyclic-prefix efficiency times the
+        share ``1 - overhead_fraction`` left after estimation overhead."""
+        return rate_scale(self.subcarriers, self.cp_length, self.overhead_fraction)
 
     def budget(self) -> LinkBudget:
         def dist(a, b) -> float:
@@ -341,6 +349,10 @@ class ScenarioConfig:
         if not 0 <= self.cp_length < self.subcarriers:
             raise ValueError(f"scenario.cp_length: must satisfy 0 <= cp_length < "
                              f"subcarriers ({self.subcarriers}), got {self.cp_length}")
+        _check("scenario", "overhead_fraction", self.rate_scale)
+        if self.assert_ripple_db is not None and not 0.0 <= self.assert_ripple_db < math.inf:
+            raise ValueError(f"scenario.assert_ripple_db: must be finite and nonnegative, "
+                             f"got {self.assert_ripple_db}")
         _check("scenario", "oversampling",
                lambda: AngularGrid(self.oversampling, self.ris_elements))
         _check("scenario", "coverage_deg rolloff flat_power sidelobe_ratio", self.target)

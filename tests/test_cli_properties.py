@@ -39,6 +39,8 @@ def tiny_configs(draw):
         "users": draw(st.integers(0, 4)),
         "realizations": draw(st.integers(0, 2)),
         "batch_channels": draw(st.integers(0, 2)),
+        "overhead_fraction": draw(st.sampled_from([0.0, 0.25])),
+        "assert_ripple_db": draw(st.sampled_from([None, 0.5, 30.0])),
         "optimizer": {"num_starts": draw(st.integers(1, 2)), "inner_max_iters": 5,
                       "outer_max_iters": 2},
         "ofdma": {"ris_elements": m, "k_sweep_db": [draw(st.sampled_from([-10.0, 0.0, 10.0]))],
@@ -109,6 +111,10 @@ OUT_OF_RANGE = {
     "flat_weight": st.just(math.nan),
     "optimizer.initial_step": st.sampled_from([math.nan, math.inf]),
     "ofdma.p_sweep_dbm": st.just([10.0, math.nan]),
+    "overhead_fraction": st.one_of(st.floats(min_value=1.0), st.floats(max_value=0.0,
+                                   exclude_max=True), st.just(-math.inf)),
+    "assert_ripple_db": st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                                  st.just(math.inf)),
 }
 
 

@@ -69,10 +69,10 @@ class TestScenarioConfig:
             ScenarioConfig.load(None, "huge")
 
     @pytest.mark.parametrize("data, preset, golden", [
-        (None, "ci", "63cb1bbf6bc289b071c54b305502a61b2a06f30ff623822e359e81542ac89450"),
-        (None, "paper", "bcb688b8c373782bb21bb98de6f88ff9ab24c82db8284dc6f2da4b37be3990d4"),
+        (None, "ci", "44295973e49ae7539e5e10cf6ca60d312f17c5f7213081060015637ecce07ae0"),
+        (None, "paper", "0ba5f4e909bd6ea24fb3fe6a9046455bdba37fcc9667a5519c4a02a2d64b1ae4"),
         # the file's own users override the preset's; realizations stay 500
-        ({"users": 7}, "paper", "13f29cb6119a41bb0b670a7dbf2a233f94d0b8bef7eaa5387d410a4189e137cc"),
+        ({"users": 7}, "paper", "3244ffbe79b5c862730be590c23156f5280159676949529c82dbbc5a7b3f042f"),
     ])
     def test_load_config_hash_golden(self, tmp_path, data, preset, golden):
         path = None
@@ -213,10 +213,9 @@ class TestRunSynthesize:
                     == (tmp_path / "budget" / name).read_bytes())
 
     def test_ripple_assertion_exit_code(self, tmp_path):
-        config = _tiny_config()
-        ok = harness.run_synthesize(config, tmp_path / "a", assert_ripple_db=1e9)
+        ok = harness.run_synthesize(_tiny_config(assert_ripple_db=1e9), tmp_path / "a")
         assert ok["exit_code"] == 0
-        bad = harness.run_synthesize(config, tmp_path / "b", assert_ripple_db=1e-6)
+        bad = harness.run_synthesize(_tiny_config(assert_ripple_db=1e-6), tmp_path / "b")
         assert bad["exit_code"] == 1
 
     def test_batch_mode_emits_stats(self, tmp_path):
@@ -402,8 +401,8 @@ class TestRunBroadcastCdf:
         assert (tmp_path / "cdf.csv").read_bytes() == (out / "cdf.csv").read_bytes()
 
     def test_overhead_scales_rates(self, cdf_run, tmp_path):
-        config, out, _ = cdf_run
-        harness.run_broadcast_cdf(config, tmp_path, overhead_fraction=0.5)
+        _, out, _ = cdf_run
+        harness.run_broadcast_cdf(_tiny_config(overhead_fraction=0.5), tmp_path)
         full = [float(l.split(",")[1]) for l in
                 (out / "cdf.csv").read_text().strip().splitlines()[1:]]
         half = [float(l.split(",")[1]) for l in
@@ -419,8 +418,8 @@ def test_runner_rejects_overhead_before_work(tmp_path, monkeypatch, runner):
     monkeypatch.setattr(harness.synthesis, "synthesize", no_synthesis)
     monkeypatch.setattr(harness.analysis, "idealized_ofdma_channel_gains", no_synthesis)
     out = tmp_path / "o"
-    with pytest.raises(ValueError, match="overhead fraction"):
-        runner(_tiny_config(), out, overhead_fraction=1.5)
+    with pytest.raises(ValueError, match=r"scenario\.overhead_fraction: overhead fraction"):
+        runner(_tiny_config(overhead_fraction=1.5), out)
     assert not out.exists()
 
 
@@ -496,6 +495,17 @@ class TestRunGradcheck:
         config = ScenarioConfig.from_dict({"seed": 3, "gradcheck": {"instances": 2}})
         report = harness.run_gradcheck(config, tmp_path)
         assert report["exit_code"] == 1
+
+    def test_nan_errors_fail(self, tmp_path):
+        # a step past the float range makes every finite difference NaN
+        config = ScenarioConfig.from_dict({"gradcheck": {"instances": 3, "fd_step": 1e200}})
+        with np.errstate(all="ignore"):
+            report = harness.run_gradcheck(config, tmp_path)
+        assert report["exit_code"] == 1 and report["payload"]["pass"] is False
+        worst = report["payload"]["worst"]
+        assert all(math.isnan(worst[key]) for key in ("precoder_fd", "phase_fd",
+                                                      "full_matrix_fd"))
+        assert (tmp_path / "gradcheck.txt").read_text().endswith(": FAIL\n")
 
     def test_repeatable_error_values(self, tmp_path):
         config = ScenarioConfig.from_dict({"seed": 9, "gradcheck": {"instances": 3}})
@@ -750,25 +760,31 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: scenario.seed: ")
         assert not (tmp_path / "o").exists()
 
+    # each value as a flag and as the config key it names
+    @pytest.mark.parametrize("given", ["flag", "key"])
     @pytest.mark.parametrize("command", ["broadcast-cdf", "ofdma-eval"])
     @pytest.mark.parametrize("fraction", ["1", "1.5", "-0.1", "nan"])
-    def test_invalid_overhead_fraction_fails_fast(self, tmp_path, capsys, command, fraction):
-        start = time.perf_counter()
-        code = cli.main([command, "--overhead-fraction", fraction, "--out",
-                         str(tmp_path / "o")])
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: --overhead-fraction: ")
-        assert not (tmp_path / "o").exists()
+    def test_invalid_overhead_fraction_fails_fast(self, tmp_path, capsys, given, command,
+                                                  fraction):
+        self._fails_fast(tmp_path, capsys, given, command, "overhead_fraction", fraction)
 
+    @pytest.mark.parametrize("given", ["flag", "key"])
     @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
-    def test_invalid_ripple_bound_fails_fast(self, tmp_path, capsys, bound):
+    def test_invalid_ripple_bound_fails_fast(self, tmp_path, capsys, given, bound):
+        self._fails_fast(tmp_path, capsys, given, "synthesize", "assert_ripple_db", bound)
+
+    @staticmethod
+    def _fails_fast(tmp_path, capsys, given, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        # JSON's NaN and Infinity load as floats
+        cfg.write_text(json.dumps({key: float(value)} if given == "key" else {}))
+        flags = ["--" + key.replace("_", "-"), value] if given == "flag" else []
         start = time.perf_counter()
-        code = cli.main(["synthesize", "--assert-ripple-db", bound, "--out",
+        code = cli.main([command, "--config", str(cfg), *flags, "--out",
                          str(tmp_path / "o")])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: --assert-ripple-db: ")
+        assert capsys.readouterr().err.startswith(f"error: scenario.{key}: ")
         assert not (tmp_path / "o").exists()
 
     # the angle flags override scenario keys, so they fail under the keys' paths
@@ -791,27 +807,40 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
 
-    def test_angle_flags_are_scenario_keys(self, tmp_path):
+    @pytest.mark.parametrize("command, base, flags, keys, other, files, exit_code", [
+        ("beamshift", {"optimizer": CAPPED_OPT, "beamshift": {"ris_elements": 16}},
+         ["--from-deg", "50", "--to-deg", "70"],
+         {"beamshift": {"ris_elements": 16, "incident_from_deg": 50, "incident_to_deg": 70}},
+         ["--from-deg", "60"], ["beamshift.txt"], 0),
+        ("broadcast-cdf", {**TINY, "optimizer": CAPPED_OPT}, ["--overhead-fraction", "0.5"],
+         {"overhead_fraction": 0.5}, ["--overhead-fraction", "0"], ["cdf.csv"], 0),
+        ("ofdma-eval", {"ofdma": {"ris_elements": 32, "k_sweep_db": [10.0],
+                                  "p_sweep_dbm": [20.0], "realizations": 20}},
+         ["--overhead-fraction", "0.5"], {"overhead_fraction": 0.5},
+         ["--overhead-fraction", "0"], ["rates.csv", "analytic.txt"], 0),
+        ("synthesize", {**TINY, "optimizer": CAPPED_OPT}, ["--assert-ripple-db", "1e-6"],
+         {"assert_ripple_db": 1e-6}, ["--assert-ripple-db", "1e9"],
+         ["pattern.csv", "trace.csv", "result.json"], 1),
+    ])
+    def test_flags_are_scenario_keys(self, tmp_path, command, base, flags, keys, other,
+                                     files, exit_code):
         # a flag and the config key it names give one run under one config_hash
-        cfg = tmp_path / "cfg.json"
-        base = {"optimizer": CAPPED_OPT, "beamshift": {"ris_elements": 16}}
-        cfg.write_text(json.dumps(base))
-        keyed = tmp_path / "keyed.json"
-        keyed.write_text(json.dumps({**base, "beamshift": {
-            "ris_elements": 16, "incident_from_deg": 50, "incident_to_deg": 70}}))
-        runs = {"flags": (cfg, ["--from-deg", "50", "--to-deg", "70"]), "keys": (keyed, []),
-                "other": (cfg, ["--from-deg", "60"])}
-        for name, (path, flags) in runs.items():
-            assert cli.main(["beamshift", "--config", str(path), *flags, "--out",
-                             str(tmp_path / name)]) in (0, 1)
-        text, hashes = {}, {}
-        for name in runs:
-            text[name] = (tmp_path / name / "beamshift.txt").read_bytes()
-            hashes[name] = json.loads((tmp_path / name / "report.json").read_text())[
-                "config_hash"]
-        assert text["flags"] == text["keys"] and hashes["flags"] == hashes["keys"]
-        assert b"incident_from_deg: 50.0" in text["flags"]
-        assert hashes["other"] != hashes["flags"]
+        runs = {"flags": (base, flags), "keys": ({**base, **keys}, []), "other": (base, other)}
+        codes, reports = {}, {}
+        for name, (data, run_flags) in runs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(data))
+            codes[name] = cli.main([command, "--config", str(cfg), *run_flags, "--out",
+                                    str(tmp_path / name)])
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            del report["wall_time_s"]
+            reports[name] = report
+        assert codes["flags"] == codes["keys"] == exit_code
+        assert json.dumps(reports["flags"]) == json.dumps(reports["keys"])
+        for file in files:
+            assert ((tmp_path / "flags" / file).read_bytes()
+                    == (tmp_path / "keys" / file).read_bytes())
+        assert reports["other"]["config_hash"] != reports["flags"]["config_hash"]
 
     @pytest.mark.parametrize("command, flags, csvs", [
         ("synthesize", ["--batch-channels", "1"], {"pattern.csv", "trace.csv",

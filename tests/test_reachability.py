@@ -27,7 +27,7 @@ TINY = {"ris_elements": M, "oversampling": 4, "bs_antennas": 2, "ue_antennas": 1
         "gradcheck": {"instances": 1}, "beamshift": {"ris_elements": M},
         "scaling": {"element_counts": [M], "beamwidths_deg": [40.0], "num_seeds": 1,
                     "paths": 2, "streams": 1, "bs_antennas": 2}}
-# every runner, with each flag kind: a scenario key and a runner keyword
+# every runner; every flag overrides a scenario key, so one flag covers that path
 RUNS = (["synthesize", "--seed", "3", "--assert-ripple-db", "10"], ["broadcast-cdf"],
         ["ofdma-eval"], ["gradcheck"], ["beamshift"], ["scaling-probe"])
 
