@@ -108,6 +108,10 @@ def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
     Each block takes its surface and transmitter steering from one call over
     its (user, path) angles, so the array factor and B^H W are one matrix
     product each: C^H is the arrival_cos_neg stack transposed, B^H W = (W^H B)^H.
+    The feed's subcarrier gains scale the array-factor rows, so the rows of
+    all users meet B^H W in one product. The direct and surface-to-user
+    paths sit side by side on the user side: one gain table per call, scaled
+    per column, and one UE steering call per block.
     """
     if any(np.any(p.tap_indices >= num_subcarriers) for p in (feed, users, direct)):
         raise ValueError("delay taps must be below the subcarrier count")
@@ -118,38 +122,42 @@ def precoded_channels(thetas: Sequence[np.ndarray | None], precoder: np.ndarray,
     # feed path gains at every subcarrier, (N_c, L_feed)
     feed_delta = freq_gain(feed.gains, feed.tap_indices,
                            np.arange(num_subcarriers)[:, None], num_subcarriers)
+    # scaling the (M, paths) arrival stack, not the rows, costs M * paths
+    # multiplies and leaves a narrower product
+    fed_surfaces = [None if theta is None else theta[:, None] * feed_stats.ris_arrival
+                    for theta in thetas]
     a_ris = (math.sqrt(budget.bs_ris_gain * budget.ris_user_gain
                        * bs.num_elements * ris.num_elements)
              * math.sqrt(ris.num_elements * ue.num_elements))
     a_direct = math.sqrt(budget.direct_gain) * math.sqrt(bs.num_elements * ue.num_elements)
 
-    def ue_side(scale, paths, block, k):
-        """scale * A_ue diag(d_k) of the block's users, (block, N_UE, paths)."""
-        return (scale * steering_matrix(ue, paths.arrival_angles[block], "departure_sin_neg")
-                * freq_gain(paths.gains[block], paths.tap_indices[block], k,
-                            num_subcarriers)[:, None, :])
-
     subcarriers = np.asarray(subcarriers)
+    # scale * diag(d_k) of every user's direct paths, then its surface paths
+    n_direct, n_user = direct.gains.shape[-1], users.gains.shape[-1]
+    ue_gains = freq_gain(np.concatenate((direct.gains, users.gains), axis=-1),
+                         np.concatenate((direct.tap_indices, users.tap_indices), axis=-1),
+                         subcarriers[:, None], num_subcarriers)
+    ue_gains *= np.repeat([a_direct, a_ris], [n_direct, n_user])
+    ue_angles = np.concatenate((direct.arrival_angles, users.arrival_angles), axis=-1)
     for start in range(0, subcarriers.shape[0], USER_BLOCK):
         block = slice(start, start + USER_BLOCK)
-        k = subcarriers[block, None]
+        # scale * A_ue diag(d_k), (block, N_UE, direct paths + user paths)
+        ue_side = (steering_matrix(ue, ue_angles[block], "departure_sin_neg")
+                   * ue_gains[block, None])
         dep = direct.departure_angles[block]
         direct_bw = (w_h @ steering_matrix(bs, dep.ravel(), "departure_sin_neg")).conj().T
-        direct_hw = ue_side(a_direct, direct, block, k) @ direct_bw.reshape(dep.shape + (-1,))
-        user_steer = ue_side(a_ris, users, block, k)
+        direct_hw = ue_side[..., :n_direct] @ direct_bw.reshape(dep.shape + (-1,))
+        user_steer = ue_side[..., n_direct:]
         psi = users.departure_angles[block]
         user_rows = steering_matrix(ris, psi.ravel(), "arrival_cos_neg").T
-        fed_bw = feed_delta[k[:, 0]][:, :, None] * feed_bw
+        feed_rows = feed_delta[np.repeat(subcarriers[block], n_user)]
         out = np.empty((len(thetas),) + direct_hw.shape, dtype=complex)
-        for i, theta in enumerate(thetas):
-            if theta is None:
+        for i, fed_surface in enumerate(fed_surfaces):
+            if fed_surface is None:
                 out[i] = direct_hw
             else:
-                # scaling the (M, paths) arrival stack, not the rows, costs
-                # M * paths multiplies and leaves a narrower product
-                array_factor = (user_rows @ (theta[:, None] * feed_stats.ris_arrival)).reshape(
-                    psi.shape + (-1,))
-                out[i] = user_steer @ (array_factor @ fed_bw) + direct_hw
+                rows = ((user_rows @ fed_surface) * feed_rows) @ feed_bw
+                out[i] = user_steer @ rows.reshape(psi.shape + (-1,)) + direct_hw
         yield block, out
 
 

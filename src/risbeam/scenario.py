@@ -192,6 +192,10 @@ class ScalingProbeSpec:
                                           flat_power=default_flat_power(num_elements, width))
 
 
+# Largest finite-difference step of the gradient audit: a longer step no
+# longer resolves a derivative at unit-modulus phases.
+_FD_STEP_MAX = 1e-2
+
 # Smallest size of each random gradcheck instance, in draw order.
 _GRADCHECK_MIN_SIZES = (("ris_elements", 4), ("bs_antennas", 2), ("streams", 1),
                         ("paths", 1))
@@ -219,6 +223,9 @@ class GradCheckSpec:
         _check(path, "oversampling",
                lambda: AngularGrid(self.oversampling, self.ris_elements))
         _positive(self, path, "fd_step threshold")
+        if not self.fd_step <= _FD_STEP_MAX:
+            raise ValueError(f"{path}.fd_step: must be at most {_FD_STEP_MAX:g}, "
+                             f"got {self.fd_step}")
 
     def draw_sizes(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Surface, transmit-array, stream and path counts of one instance,

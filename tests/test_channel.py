@@ -104,6 +104,46 @@ class TestSteeringRecurrence:
             steering_matrix(ArrayGeometry(n), angles, "arrival_cos_pos").conj(),
             steering_matrix(ArrayGeometry(n), angles, "arrival_cos_neg"))
 
+    @staticmethod
+    def _extended_reference(n, angles, convention):
+        """Real and imaginary parts of e^{j*m*r}/sqrt(n) from the same float
+        ramps r, with the phases m*r and their cosines in extended precision."""
+        sign, trig = {"arrival_cos_neg": (-1.0, np.cos), "arrival_cos_pos": (1.0, np.cos),
+                      "departure_sin_neg": (-1.0, np.sin)}[convention]
+        ramp = (sign * np.pi * trig(np.asarray(angles, dtype=float))).astype(np.longdouble)
+        phase = np.arange(n, dtype=np.longdouble)[:, None] * ramp
+        scale = np.sqrt(np.longdouble(n))
+        return np.cos(phase) / scale, np.sin(phase) / scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 100, 1000])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_doubling_matches_extended_precision_phases(self, n, convention):
+        # the doubled factor e^{j*k*r} gathers about one rounding per level
+        # and row, so the relative error of an entry grows like n * eps
+        angles = np.random.default_rng(11).uniform(0.0, np.pi, 500)
+        out = steering_matrix(ArrayGeometry(n), angles, convention)
+        re, im = self._extended_reference(n, angles, convention)
+        err = np.hypot(out.real.astype(np.longdouble) - re, out.imag.astype(np.longdouble) - im)
+        assert float(err.max()) * math.sqrt(n) <= 1e-15 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    def test_entry_magnitudes(self, n):
+        # the magnitude error grows like sqrt(n) * eps: 1.1e-15 at 100
+        # elements, 3.5e-15 at 1000, inside the extended-precision bound above
+        angles = np.random.default_rng(12).uniform(0.0, np.pi, 2000)
+        for convention in CONVENTIONS:
+            out = steering_matrix(ArrayGeometry(n), angles, convention)
+            assert np.max(np.abs(np.abs(out) - 1.0 / math.sqrt(n))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 4, 17, 64, 100])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_stacked_draws_match_per_draw_calls(self, n, convention):
+        angles = np.random.default_rng(13).uniform(0.0, np.pi, (6, 5))
+        stacked = steering_matrix(ArrayGeometry(n), angles, convention)
+        for d, row in enumerate(angles):
+            np.testing.assert_array_equal(stacked[d],
+                                          steering_matrix(ArrayGeometry(n), row, convention))
+
     def test_empty_angle_sets(self):
         for n in (4, 100):
             assert steering_matrix(ArrayGeometry(n), np.empty((0, 3)),

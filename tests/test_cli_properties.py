@@ -94,7 +94,10 @@ OUT_OF_RANGE = {
     "optimizer.num_starts": st.integers(max_value=0),
     "ofdma.realizations": st.integers(max_value=0),
     "gradcheck.instances": st.integers(max_value=0),
-    "gradcheck.fd_step": st.floats(max_value=0.0),
+    # a step above 1e-2 does not resolve a derivative at unit-modulus phases
+    "gradcheck.fd_step": st.one_of(st.floats(max_value=0.0),
+                                   st.floats(min_value=1e-2, exclude_min=True),
+                                   st.just(math.inf)),
     "scaling.num_seeds": st.integers(max_value=0),
     "beamshift.incident_from_deg": st.one_of(st.floats(max_value=0.0),
                                              st.floats(min_value=180.0), st.just(math.nan)),

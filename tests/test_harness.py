@@ -1,7 +1,11 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,39 @@ class TestRunBroadcastCdf:
         assert len(lines) == 1
         assert report["payload"]["median_rates"]["proposed"] is None
 
+    @pytest.mark.parametrize("users, realizations", [(7, 3), (8, 3)])
+    def test_medians_match_numpy_median_of_rows(self, tmp_path, users, realizations):
+        # an odd and an even number of rates per strategy
+        report = harness.run_broadcast_cdf(
+            _tiny_config(users=users, realizations=realizations), tmp_path)
+        by_strategy = {}
+        for line in (tmp_path / "cdf.csv").read_text().splitlines()[1:]:
+            strategy, rate, _ = line.split(",")
+            by_strategy.setdefault(strategy, []).append(float(rate))
+        medians = report["payload"]["median_rates"]
+        assert set(by_strategy) == set(medians)
+        for strategy, rates in by_strategy.items():
+            assert len(rates) == users * realizations
+            # the file holds 12 significant digits of each rate
+            assert medians[strategy] == pytest.approx(np.median(rates), rel=1e-11)
+
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on its first call, about 10 ms and
+        # 0.8 MB of peak RSS; the medians come from the sorted rows instead
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "optimizer": TINY_OPT}))
+        argv = ["broadcast-cdf", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        script = ("import sys\nfrom risbeam import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print('numpy.ma' in sys.modules)\nsys.exit(code)\n")
+        src = str(Path(risbeam.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_deterministic(self, cdf_run, tmp_path):
         config, out, _ = cdf_run
         harness.run_broadcast_cdf(config, tmp_path)
@@ -496,11 +533,17 @@ class TestRunGradcheck:
         report = harness.run_gradcheck(config, tmp_path)
         assert report["exit_code"] == 1
 
-    def test_nan_errors_fail(self, tmp_path):
-        # a step past the float range makes every finite difference NaN
-        config = ScenarioConfig.from_dict({"gradcheck": {"instances": 3, "fd_step": 1e200}})
-        with np.errstate(all="ignore"):
-            report = harness.run_gradcheck(config, tmp_path)
+    def test_nan_errors_fail(self, tmp_path, monkeypatch):
+        # every finite difference NaN, as an overflowing step would make it
+        true_check = harness.gradient_check
+
+        def nan_differences(*args, **kwargs):
+            return {**true_check(*args, **kwargs),
+                    **dict.fromkeys(("precoder_fd", "phase_fd", "full_matrix_fd"), math.nan)}
+
+        monkeypatch.setattr(harness, "gradient_check", nan_differences)
+        config = ScenarioConfig.from_dict({"gradcheck": {"instances": 3}})
+        report = harness.run_gradcheck(config, tmp_path)
         assert report["exit_code"] == 1 and report["payload"]["pass"] is False
         worst = report["payload"]["worst"]
         assert all(math.isnan(worst[key]) for key in ("precoder_fd", "phase_fd",
@@ -679,6 +722,8 @@ class TestCli:
         ({"gradcheck": {"paths": 0}}, "scenario.gradcheck.paths"),
         ({"gradcheck": {"oversampling": 1}}, "scenario.gradcheck.oversampling"),
         ({"gradcheck": {"fd_step": 0}}, "scenario.gradcheck.fd_step"),
+        # a step this long overflows every finite difference
+        ({"gradcheck": {"fd_step": 1e200}}, "scenario.gradcheck.fd_step"),
         ({"gradcheck": {"threshold": -1e-4}}, "scenario.gradcheck.threshold"),
         ({"seed": -1}, "scenario.seed"),
         # infinite link-budget inputs; -Infinity dBm (0 W) stays a valid transmit power
