@@ -311,7 +311,10 @@ class ChannelStats:
 
     ``ris_arrival`` stacks the surface-side steering vectors of the paths as
     columns (M, L); ``bs_departure`` the transmitter-side ones (N_BS, L);
-    ``path_powers`` is the diagonal of the mean-power matrix.
+    ``path_powers`` is the diagonal of the mean-power matrix. The pattern
+    kernel takes the columns of ``ris_arrival`` to be half-wavelength ULA
+    steering vectors (entry m is e^{j m r_l} / sqrt(M)), as ``channel_stats``
+    builds them.
     """
 
     ris_arrival: np.ndarray
@@ -337,10 +340,6 @@ class ChannelStats:
     @property
     def num_bs_antennas(self) -> int:
         return self.bs_departure.shape[0]
-
-    @property
-    def num_paths(self) -> int:
-        return self.path_powers.shape[0]
 
 
 def channel_stats(paths: PathSet, ris_geometry: ArrayGeometry,

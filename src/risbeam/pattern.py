@@ -11,12 +11,15 @@ with A/B the stacked steering vectors, P the diagonal of mean path powers,
 and `o` the Hadamard product. The pattern is identical at every subcarrier,
 so a single (theta, W) pair serves the whole OFDM band.
 
-It is evaluated in lag space: the beam power of a path's aperture
-y = theta o a_l at u = cos(phi) is the cosine series
-(c_0 + 2 sum_{k>=1} Re(c_k e^{-j pi k u})) / M in its lags
-c_k = sum_m y_{m+k} conj(y_m). ``_PhaseSolve`` and ``_PrecoderSolve`` sum
-the paths' lags and take one real product with a cached table over half the
-grid (u_{G-j} = -u_j); ``validation`` keeps the dense steering rows.
+It is evaluated in lag space: the beam power of an aperture y at
+u = cos(phi) is the cosine series (c_0 + 2 sum_{k>=1} Re(c_k e^{-j pi k u})) / M
+in its lags c_k = sum_m y_{m+k} conj(y_m). On a half-wavelength ULA the
+apertures theta o a_l of all paths share the lags of theta up to a ramp,
+so the lags of the excitation-weighted sum of the beams are c = rho o h: rho
+is the autocorrelation of theta and h = A chi / sqrt(M) the excitations chi
+summed over the steering columns A. ``_PhaseSolve`` and ``_PrecoderSolve``
+form c so and take one real product with a cached table over half the grid
+(u_{G-j} = -u_j); ``validation`` keeps the dense steering rows.
 """
 
 from __future__ import annotations
@@ -189,13 +192,13 @@ def _lag_table(oversampling: int, num_elements: int) -> np.ndarray:
     return table
 
 
-def _path_lags(theta: np.ndarray, arrival: np.ndarray) -> np.ndarray:
-    """Lags c_k, k < M, of the apertures theta o a_l, shape (..., paths, M) for
-    phases (..., M): one BLAS dot per lag with a shifted view of the aperture
-    padded with M zeros, so no (M, M) array is formed."""
+def _autocorrelation(theta: np.ndarray) -> np.ndarray:
+    """Lags rho_k = sum_m theta_{m+k} conj(theta_m), k < M, of phases (..., M):
+    one BLAS dot per lag with a shifted view of the phases padded with M
+    zeros, so no (M, M) array is formed."""
     m = theta.shape[-1]
-    padded = np.zeros(theta.shape[:-1] + (arrival.shape[1], 2 * m), complex)
-    np.multiply(theta[..., None, :], arrival.T, out=padded[..., :m])
+    padded = np.zeros(theta.shape[:-1] + (2 * m,), complex)
+    padded[..., :m] = theta
     shifted = np.ndarray(padded.shape[:-1] + (m, m), complex, padded,
                          strides=padded.strides[:-1] + 2 * padded.strides[-1:])
     return np.vecdot(padded[..., None, :m], shifted)
@@ -252,29 +255,35 @@ def pattern_cost(pattern_values: np.ndarray, target_values: np.ndarray,
 
 class _Solve:
     """Cost and gradient of one inner solve over what the solve holds fixed:
-    the lag table of the grid, pattern scale M^2 * N_BS, target values and
-    weight rule (either may be None for a caller that supplies the weights
-    or only wants the pattern). It remembers the terms of the last point it
-    evaluated, keyed by the point's bytes, and reuses them at that point:
-    the Armijo search returns the last point it costed, and the CG asks for
-    the gradient there. Both solves form the pattern in ``_series``, so
-    they agree bit for bit."""
+    the lag table of the grid, the steering ramps A^T / sqrt(M) of the
+    paths, pattern scale M^2 * N_BS, target values and weight rule (either
+    may be None for a caller that supplies the weights or only wants the
+    pattern). It remembers the terms of the last point it evaluated, keyed
+    by the point's bytes, and reuses them at that point: the Armijo search
+    returns the last point it costed, and the CG asks for the gradient
+    there. Both solves form the summed lags as c = rho o h, the
+    autocorrelation of the phases times the ramps summed by ``_ramp_sum``,
+    and the pattern of c in ``_series``, so they agree bit for bit."""
 
     def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
         m = stats.num_ris_elements
         self.stats, self.size = stats, grid.size
         self.table = _lag_table(grid.oversampling, grid.num_ris_elements)
+        self.ramps = np.ascontiguousarray(stats.ris_arrival.T) / np.sqrt(m)
         self.scale = float(m * m * stats.num_bs_antennas)
         self.f = None if target_values is None else np.asarray(target_values, dtype=float)
         self.weight_rule, self._key = weight_rule, None
 
-    def _series(self, excitation: np.ndarray, lags: np.ndarray) -> np.ndarray:
-        """Pattern sum_l excitation_l |b_jl|^2, shape (..., G), of the summed
-        per-path lags (..., paths, M): the half table's even (cos) and odd
-        (sin) parts add on its angles and subtract on the mirror. Clipped at
-        0, as a null may round a few ulps below it."""
-        c = (excitation[..., None, :] @ lags)[..., 0, :]
-        parts = self.table @ c.view(float).reshape(c.shape + (2,)).swapaxes(-1, -2)[..., None]
+    def _ramp_sum(self, excitation: np.ndarray) -> np.ndarray:
+        """h = A excitation / sqrt(M), shape (..., M), of excitations
+        (..., paths); a stack item takes the same product as a single one."""
+        return (excitation[..., None, :] @ self.ramps)[..., 0, :]
+
+    def _series(self, lags: np.ndarray) -> np.ndarray:
+        """Pattern, shape (..., G), of summed lags (..., M): the half table's
+        even (cos) and odd (sin) parts add on its angles and subtract on the
+        mirror. Clipped at 0, as a null may round a few ulps below it."""
+        parts = self.table @ lags.view(float).reshape(lags.shape + (2,)).swapaxes(-1, -2)[..., None]
         even, odd = parts[..., 0, :, 0], parts[..., 1, :, 0]
         mirrored = self.size - self.table.shape[1]
         y = np.concatenate((even + odd, (even - odd)[..., mirrored:0:-1]), axis=-1)
@@ -293,28 +302,22 @@ class _Solve:
 
 class _PhaseSolve(_Solve):
     """The phase solve at a fixed precoder, which fixes the path weights
-    scale * chi_l / ||W||^2; terms (pattern, weights). ``pattern`` takes
-    phases (M,) or a stack (..., M), unit-modulus or not: the gradients are
-    derived for free complex phases."""
+    scale * chi_l / ||W||^2 and so h; terms (pattern, weights). ``pattern``
+    takes phases (M,) or a stack (..., M), unit-modulus or not: the
+    gradients are derived for free complex phases."""
 
     def __init__(self, stats, grid, target_values, weight_rule, precoder):
         super().__init__(stats, grid, target_values, weight_rule)
         w, wnorm2 = _as_precoder(precoder)
         bw = stats.bs_departure.conj().T @ w
-        self.excitation = self.scale / wnorm2 * path_excitations(stats, bw)
+        self.h = self._ramp_sum(self.scale / wnorm2 * path_excitations(stats, bw))
 
     def pattern(self, theta: np.ndarray) -> tuple[np.ndarray]:
-        return (self._series(self.excitation, _path_lags(theta, self.stats.ris_arrival)),)
+        return (self._series(_autocorrelation(theta) * self.h),)
 
     def cost(self, theta: np.ndarray) -> float:
         ybar, weights = self._terms_at(theta)
         return pattern_cost(ybar, self.f, weights)
-
-    @cached_property
-    def k_transposed(self) -> np.ndarray:
-        """K^T of K = A diag(excitation) A^H, the pattern's quadratic form in theta."""
-        a = self.stats.ris_arrival
-        return (a.conj() * self.excitation) @ a.T
 
     def gradient(self, theta, ybar, weights) -> np.ndarray:
         # t_k = sum_j rho_j (d |b_j|^2 / d c_k), rho folded onto the half table
@@ -323,39 +326,43 @@ class _PhaseSolve(_Solve):
         mirror = np.zeros(half)
         mirror[1:self.size - half + 1] = rho[:half - 1:-1]
         t = (rho[:half] + mirror) @ self.table[0] + 1j * ((rho[:half] - mirror) @ self.table[1])
-        # grad_p = sum_n s_{p-n} K_{n,p} theta_n, s_d = 2 t_d (t_0 has half weight),
-        # s_{-d} = conj(s_d): Toeplitz. A row-major product sums each row in
-        # one thread, whatever the BLAS threads
+        # grad_p = sum_n s_{p-n} K_{n,p} theta_n, s_d = 2 t_d (t_0 has half
+        # weight), s_{-d} = conj(s_d), and K = A diag(chi) A^H is Hermitian
+        # Toeplitz, K_{n,p} = h_{n-p}: one Toeplitz product of symbol
+        # s_d conj(h_d). A row-major product sums each row in one thread,
+        # whatever the BLAS threads
         t[0] *= 2.0
+        t *= self.h.conj()
         symbol = np.concatenate((t[:0:-1].conj(), t))
         step, m = symbol.itemsize, t.size
         toeplitz = np.ndarray((m, m), complex, symbol, offset=(m - 1) * step,
                               strides=(step, -step))
-        return (toeplitz * self.k_transposed) @ theta
+        return np.ascontiguousarray(toeplitz) @ theta
 
 
 class _PrecoderSolve(_Solve):
-    """The precoder solve at fixed phases, which fix the per-path lags and
-    beam powers |b_jl|^2 (grid, paths); terms (||W||^2, B^H W, pattern,
-    weights). ``pattern`` also takes a stack (..., N_BS, N_d), whose
-    ||W||^2 come as (..., 1)."""
+    """The precoder solve at fixed phases, which fix their autocorrelation
+    rho and the beam powers |b_jl|^2 (grid, paths); terms (||W||^2, B^H W,
+    pattern, weights). ``pattern`` also takes a stack (..., N_BS, N_d),
+    whose ||W||^2 come as (..., 1)."""
 
     def __init__(self, stats, grid, target_values, weight_rule, theta):
         super().__init__(stats, grid, target_values, weight_rule)
-        self.lags = _path_lags(np.asarray(theta, dtype=complex), stats.ris_arrival)
+        self.rho = _autocorrelation(np.asarray(theta, dtype=complex))
         self.bh = stats.bs_departure.conj().T
 
     @cached_property
     def beam_power(self) -> np.ndarray:
-        """|b_jl|^2, shape (grid, paths): the series of each path's lags alone."""
-        return self._series(np.eye(self.stats.num_paths), self.lags).T
+        """|b_jl|^2, shape (grid, paths): the series of each path's lags
+        rho o a_l / sqrt(M) alone."""
+        return self._series(self.rho * self.ramps).T
 
     def pattern(self, w: np.ndarray) -> tuple:
         wnorm2 = (float(np.vdot(w, w).real) if w.ndim == 2
                   else (np.abs(w) ** 2).sum(axis=(-2, -1))[..., None])
         bw = self.bh @ w
-        return wnorm2, bw, self._series(self.scale / wnorm2 * path_excitations(self.stats, bw),
-                                        self.lags)
+        h = self._ramp_sum(self.scale / wnorm2 * path_excitations(self.stats, bw))
+        return wnorm2, bw, self._series(self.rho * h)
 
     def cost(self, w: np.ndarray) -> float:
         _, _, ybar, weights = self._terms_at(w)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from risbeam.channel import (ArrayGeometry, ChannelConfig, ChannelStats, channel_stats,
                              sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
-from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _PhaseSolve,
-                             _PrecoderSolve, compute_weights, grid_steering_rows,
+from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _autocorrelation,
+                             _PhaseSolve, _PrecoderSolve, compute_weights, grid_steering_rows,
                              normalized_pattern, path_excitations, pattern_cost, region_masks,
                              target_value)
 from risbeam.synthesis import (measure_minus3db_region, optimize_precoder, phase_gradient,
@@ -220,7 +220,7 @@ class TestAveragePowerPattern:
         y = _average_pattern(theta, w, stats, grid)
         rows = steering_matrix(ArrayGeometry(m), grid.angles, "arrival_cos_pos").conj().T
         total = np.zeros(grid.size)
-        for l in range(stats.num_paths):
+        for l in range(stats.path_powers.size):
             chi = stats.path_powers[l] * np.sum(
                 np.abs(stats.bs_departure[:, l].conj() @ w) ** 2)
             beam = rows @ (theta * stats.ris_arrival[:, l])
@@ -338,6 +338,39 @@ class TestLagKernel:
         for th, y in zip(free, stacked):
             dense = factor * (np.abs(rows @ (th[:, None] * stats.ris_arrival)) ** 2 @ chi)
             assert relative_error(y, dense) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 100])
+    def test_autocorrelation_matches_double_sum(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        direct = [sum(x[i + k] * np.conj(x[i]) for i in range(m - k)) for k in range(m)]
+        rho = _autocorrelation(x)
+        assert rho.shape == (m,)
+        np.testing.assert_allclose(rho, direct, rtol=0, atol=1e-13 * np.vdot(x, x).real)
+        # a (5, M) stack equals its rows, each on its own
+        stack = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        np.testing.assert_array_equal(_autocorrelation(stack),
+                                      [_autocorrelation(row) for row in stack])
+
+    @pytest.mark.parametrize("oversampling, m", [(10, 4), (3, 17), (10, 100)])
+    def test_phase_gradient_is_dense_toeplitz_product(self, oversampling, m):
+        # grad = (S o K^T) theta with S = 2 rows^H diag(rho) rows and
+        # K = A diag(scale chi / ||W||^2) A^H, both formed densely
+        stats, theta, w, _, rng = _instance(seed=m + 1, m=m, n_bs=4, paths=4)
+        grid = AngularGrid(oversampling, m)
+        rows = grid_steering_rows(grid)
+        f = rng.uniform(0.0, 2.0 * m, grid.size)
+        weights = rng.uniform(0.0, 10.0, grid.size)
+        solve = _PhaseSolve(stats, grid, f, None, w)
+        chi = path_excitations(stats, stats.bs_departure.conj().T @ w)
+        factor = m * m * stats.num_bs_antennas / np.vdot(w, w).real
+        a = stats.ris_arrival
+        k = (a * (factor * chi)) @ a.conj().T
+        free = theta + 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        for th in (theta, free):
+            ybar, = solve.pattern(th)
+            s = 2.0 * (rows.conj().T * (weights * (ybar - f))) @ rows
+            assert relative_error(solve.gradient(th, ybar, weights), (s * k.T) @ th) <= 1e-12
 
 
 class TestPatternCost:

@@ -12,8 +12,8 @@ from risbeam import cli
 SRC = Path(risbeam.__file__).resolve().parent
 
 # Reached from tests only, until `ofdma-eval` reports the received-power
-# closed form (ROADMAP item 5) and the dense channel oracles move to tests/
-# (item 6). Drop a name once a run reaches it.
+# closed form (ROADMAP item 6) and the dense channel oracles move to tests/
+# (item 7). Drop a name once a run reaches it.
 ALLOWED = {"analysis.avg_received_power", "analysis.idealized_received_power_mc",
            "analysis.equivalent_channel", "channel.assemble_channel",
            "channel.time_domain_channel"}
