@@ -89,6 +89,7 @@ class ArmijoResult(NamedTuple):
     step: float
     point: np.ndarray
     cost: float
+    halvings: int
 
 
 def armijo_search(cost: Callable[[np.ndarray], float], base: np.ndarray,
@@ -98,27 +99,39 @@ def armijo_search(cost: Callable[[np.ndarray], float], base: np.ndarray,
                   retraction: Callable[[np.ndarray], np.ndarray] = retract) -> ArmijoResult:
     """Smallest-n Armijo backtracking along a descent direction.
 
-    Accepts the first step q*l^n (n = 0, 1, ...) whose retracted point drops
-    the cost by at least the sufficient-decrease fraction of the predicted
-    linear decrease. Trial points that cannot be retracted count as rejected
-    steps. Raises LineSearchError when the halving budget runs out and
-    ValueError when handed an ascent direction.
+    Accepts the first step q*l^n (n = 0, 1, ...; ``halvings`` is n) whose
+    retracted point drops the cost by at least the sufficient-decrease
+    fraction of the predicted linear decrease. Trial points that cannot be
+    retracted count as rejected steps. Raises LineSearchError when the
+    halving budget runs out and ValueError when handed an ascent direction.
+
+    A nonnegative cost at the base point is taken to mean a nonnegative
+    cost, as the synthesis costs are sums of weighted squares: a trial
+    whose required decrease exceeds the base cost j0 then fails whatever
+    its cost jc >= 0, since j0 - jc <= j0 in floating point. Such a step is
+    halved past without retracting or costing it, and still spends one
+    trial of the budget, so the accepted step, point and cost, and every
+    failure, are those of a search that costs every trial. For a cost that
+    is negative somewhere, a skipped step could only have been accepted at
+    a negative cost; the search still returns a step that passes the test.
     """
     slope = real_inner(grad, direction)
     if slope > 0.0:
         raise ValueError("armijo_search needs a descent direction (got ascent)")
     j0 = cost(base) if cost_at_base is None else cost_at_base
     step = params.initial_step
-    for _ in range(params.max_halvings + 1):
+    for halvings in range(params.max_halvings + 1):
+        trial, step = step, step * params.contraction
+        required = -params.sufficient_decrease * trial * slope
+        if j0 >= 0.0 and required > j0:
+            continue
         try:
-            candidate = retraction(base + step * direction)
+            candidate = retraction(base + trial * direction)
         except RetractionError:
-            step *= params.contraction
             continue
         jc = cost(candidate)
-        if j0 - jc >= -params.sufficient_decrease * step * slope:
-            return ArmijoResult(step=step, point=candidate, cost=jc)
-        step *= params.contraction
+        if j0 - jc >= required:
+            return ArmijoResult(step=trial, point=candidate, cost=jc, halvings=halvings)
     raise LineSearchError(f"no Armijo step within {params.max_halvings} halvings")
 
 
@@ -126,12 +139,18 @@ def armijo_search(cost: Callable[[np.ndarray], float], base: np.ndarray,
 class CgResult:
     """The record of one CG solve: ``cost_trace`` holds the cost at the start
     point and after every accepted step (nonincreasing), ``status`` how the
-    solve ended, and ``cost_evals`` the calls of the cost, retries included."""
+    solve ended, ``cost_evals`` the calls of the cost, retries included,
+    ``grad_evals`` the calls of the gradient, and ``backtracks`` the
+    rejected trial steps of its Armijo searches: the halvings before each
+    accepted step, skipped trials included, and the whole budget of each
+    failed search."""
 
     point: np.ndarray
     cost_trace: np.ndarray
     status: str
     cost_evals: int
+    grad_evals: int
+    backtracks: int
 
     @property
     def iterations(self) -> int:
@@ -160,22 +179,31 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     backtracked. The acceptance test is unchanged, so the cost trace stays
     nonincreasing.
     """
-    evals = 0
+    evals = grad_evals = backtracks = 0
 
     def counted_cost(point):
         nonlocal evals
         evals += 1
         return cost(point)
 
+    def counted_grad(point):
+        nonlocal grad_evals
+        grad_evals += 1
+        return euclidean_grad(point)
+
     def search(x, d, g, j, params):
+        nonlocal backtracks
         try:
-            return armijo_search(counted_cost, x, d, g, params, cost_at_base=j,
-                                 retraction=retraction)
+            accepted = armijo_search(counted_cost, x, d, g, params, cost_at_base=j,
+                                     retraction=retraction)
         except LineSearchError:
+            backtracks += params.max_halvings + 1
             return None
+        backtracks += accepted.halvings
+        return accepted
 
     x = np.asarray(x0, dtype=complex)
-    g = project(x, euclidean_grad(x))
+    g = project(x, counted_grad(x))
     d = -g
     j = float(counted_cost(x))
     trace = [j]
@@ -201,7 +229,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
             start = (min(armijo.initial_step, 2.0 * accepted.step)
                      if accepted.step == params.initial_step else accepted.step)
             warm = replace(armijo, initial_step=start)
-        g_new = project(x_new, euclidean_grad(x_new))
+        g_new = project(x_new, counted_grad(x_new))
         beta = max(0.0, real_inner(g_new, g_new - project(x_new, g)) / (gnorm * gnorm))
         d = -g_new + beta * project(x_new, d)
         rel_drop = (j - j_new) / max(abs(j), np.finfo(float).tiny)
@@ -210,7 +238,8 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
         if rel_drop < cost_tol:
             status = "cost_tolerance"
             break
-    return CgResult(point=x, cost_trace=np.asarray(trace), status=status, cost_evals=evals)
+    return CgResult(point=x, cost_trace=np.asarray(trace), status=status, cost_evals=evals,
+                    grad_evals=grad_evals, backtracks=backtracks)
 
 
 def rcg_minimize(cost: Callable[[np.ndarray], float],

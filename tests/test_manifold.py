@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risbeam.manifold import (ArmijoParams, LineSearchError, RetractionError,
+from risbeam.manifold import (ArmijoParams, ArmijoResult, LineSearchError, RetractionError,
                               armijo_search, euclidean_cg_minimize,
                               is_unit_modulus, project_tangent,
                               random_unit_modulus, rcg_minimize, real_inner,
@@ -142,6 +142,90 @@ class TestArmijo:
                           ArmijoParams(max_halvings=10), cost_at_base=0.0)
 
 
+    @staticmethod
+    def _every_trial(cost, base, direction, grad, params, j0):
+        """Armijo backtracking that retracts and costs every trial step."""
+        slope = real_inner(grad, direction)
+        step = params.initial_step
+        for halvings in range(params.max_halvings + 1):
+            try:
+                candidate = retract(base + step * direction)
+            except RetractionError:
+                step *= params.contraction
+                continue
+            jc = cost(candidate)
+            if j0 - jc >= -params.sufficient_decrease * step * slope:
+                return ArmijoResult(step, candidate, jc, halvings)
+            step *= params.contraction
+        raise LineSearchError("budget spent")
+
+    @staticmethod
+    def _counted(cost):
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return cost(x)
+        return counted, calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("first_step", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_skipped_trials_change_no_result(self, seed, first_step):
+        # a long descent direction needs many halvings, and the first ones
+        # ask for more decrease than the whole nonnegative cost
+        theta = _point(6, seed=seed)
+        cost, grad = _quadratic(_point(6, seed=seed + 100))
+        g = project_tangent(theta, grad(theta))
+        params = ArmijoParams(initial_step=first_step)
+        j0 = cost(theta)
+        searched, calls = self._counted(cost)
+        res = armijo_search(searched, theta, -1e6 * g, g, params, cost_at_base=j0)
+        every, every_calls = self._counted(cost)
+        ref = self._every_trial(every, theta, -1e6 * g, g, params, j0)
+        assert (res.step, res.cost, res.halvings) == (ref.step, ref.cost, ref.halvings)
+        np.testing.assert_array_equal(res.point, ref.point)
+        assert len(calls) <= len(every_calls)
+        if first_step == 1.0:
+            assert len(calls) < len(every_calls)
+
+    def test_negative_base_cost_costs_every_trial(self):
+        theta = _point(6, seed=30)
+        quadratic, grad = _quadratic(_point(6, seed=31))
+
+        def cost(x):
+            return quadratic(x) - 100.0
+
+        g = project_tangent(theta, grad(theta))
+        searched, calls = self._counted(cost)
+        res = armijo_search(searched, theta, -1e6 * g, g, cost_at_base=cost(theta))
+        ref = self._every_trial(cost, theta, -1e6 * g, g, ArmijoParams(), cost(theta))
+        assert (res.step, res.cost, res.halvings) == (ref.step, ref.cost, ref.halvings)
+        assert res.halvings > 0 and len(calls) == res.halvings + 1
+
+    def test_skipped_trials_spend_the_budget(self):
+        # with a zero base cost every trial asks for more decrease than a
+        # nonnegative cost can give: max_halvings + 1 skips, then failure
+        theta = _point(4, seed=32)
+        cost, grad = _quadratic(theta)
+        g = project_tangent(theta, 1j * theta)
+        searched, calls = self._counted(cost)
+        with pytest.raises(LineSearchError):
+            armijo_search(searched, theta, -g, g, ArmijoParams(max_halvings=7),
+                          cost_at_base=0.0)
+        assert calls == []
+        # a budget one trial short of the accepted step fails, though it
+        # costed fewer trials than it spent
+        theta = _point(6, seed=33)
+        cost, grad = _quadratic(_point(6, seed=34))
+        g = project_tangent(theta, grad(theta))
+        n = armijo_search(cost, theta, -1e6 * g, g).halvings
+        searched, calls = self._counted(cost)
+        with pytest.raises(LineSearchError):
+            armijo_search(searched, theta, -1e6 * g, g, ArmijoParams(max_halvings=n - 1),
+                          cost_at_base=cost(theta))
+        assert 0 < len(calls) < n
+
+
 def _scripted_searches(monkeypatch, script):
     """Replace the CG's Armijo search: search i backtracks ``script[i]``
     times from its first step and is accepted, or fails when that entry is
@@ -158,7 +242,7 @@ def _scripted_searches(monkeypatch, script):
             raise LineSearchError("scripted failure")
         step = params.initial_step * params.contraction ** halvings
         point = retraction(base + step * direction)
-        return manifold.ArmijoResult(step=step, point=point, cost=cost(point))
+        return manifold.ArmijoResult(step=step, point=point, cost=cost(point), halvings=halvings)
 
     monkeypatch.setattr(manifold, "armijo_search", scripted_search)
     return searches

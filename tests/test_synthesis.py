@@ -282,6 +282,58 @@ class TestSynthesize:
             len(s.cost_trace) - 1 for s in res.solves]
         assert [s["status"] for s in solves] == [s.status for s in res.solves]
 
+    def test_search_counts_match_traced_searches(self, monkeypatch):
+        # backtracks summed over a design's solves equal a wrapper's count
+        # from each search's accepted step (a failed search rejects its whole
+        # budget), and grad_evals a counting wrapper's tally of the gradient
+        import risbeam.manifold as manifold
+        import risbeam.synthesis as synthesis
+
+        traced = {"backtracks": 0, "searches": 0}
+        search = manifold.armijo_search
+
+        def traced_search(cost, base, direction, grad, params, **kwargs):
+            traced["searches"] += 1
+            try:
+                res = search(cost, base, direction, grad, params, **kwargs)
+            except manifold.LineSearchError:
+                traced["backtracks"] += params.max_halvings + 1
+                raise
+            traced["backtracks"] += round(math.log(res.step / params.initial_step)
+                                          / math.log(params.contraction))
+            return res
+
+        grads = []
+
+        def counting(solver):
+            def run(cost, grad, *args, **kwargs):
+                grads.append(0)
+
+                def counted_grad(x):
+                    grads[-1] += 1
+                    return grad(x)
+                return solver(cost, counted_grad, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(manifold, "armijo_search", traced_search)
+        for name in ("rcg_minimize", "euclidean_cg_minimize"):
+            monkeypatch.setattr(synthesis, name, counting(getattr(synthesis, name)))
+        rng = np.random.default_rng(5)
+        paths = sample_paths(ChannelConfig(num_paths=3, delay_spread_taps=2), rng)
+        stats = channel_stats(paths, ArrayGeometry(16), ArrayGeometry(4))
+        target = TargetPattern.for_coverage(np.deg2rad(90), np.deg2rad(140),
+                                            16 * np.pi / np.deg2rad(50))
+        res = synthesize(target, stats, num_streams=2, seed=3, num_starts=1,
+                         inner_max_iters=40, outer_max_iters=4, outer_tol=0.0)
+        assert traced["searches"] >= sum(s.iterations for s in res.solves) > 0
+        assert traced["backtracks"] > 0
+        assert sum(s.backtracks for s in res.solves) == traced["backtracks"]
+        assert [s.grad_evals for s in res.solves] == grads
+        assert all(s.grad_evals == s.iterations + 1 for s in res.solves)
+        solves = res.diagnostics()["solves"]
+        assert [s["backtracks"] for s in solves] == [s.backtracks for s in res.solves]
+        assert [s["grad_evals"] for s in solves] == grads
+
     def test_capped_solves_warn(self):
         rng = np.random.default_rng(2)
         paths = sample_paths(ChannelConfig(num_paths=2, delay_spread_taps=2), rng)

@@ -9,9 +9,10 @@ tree's src/) first on the import path. A row lists the process CPU seconds
 of that design, the final cost, the flat-top ripple, the alternation
 rounds, the cost evaluations of the winning start's precoder and theta
 solves, and how many of those solves ended at their iteration cap or on a
-stalled line search. A last line sums the CPU time and the evaluations and
-gives the median final cost and the worst ripple. CPU time counts every
-BLAS thread, so pin one thread to compare trees.
+stalled line search. A last line sums the CPU time, the evaluations and
+the Armijo backtracks of those solves and gives the median final cost and
+the worst ripple. CPU time counts every BLAS thread, so pin one thread to
+compare trees. SRC must be a tree whose `CgResult` counts `backtracks`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     config = ScenarioConfig.load(args.config, args.preset)
     print(f"{'seed':>6} {'cpu_s':>7} {'final_cost':>11} {'ripple_db':>9} {'rounds':>6} "
           f"{'evals_w':>8} {'evals_theta':>11} {'capped':>6} {'stalled':>7}")
-    cpu, costs, ripples, evals = 0.0, [], [], 0
+    cpu, costs, ripples, evals, backtracks = 0.0, [], [], 0, 0
     for seed in args.seeds:
         t0 = time.process_time()
         result = harness._design(dataclasses.replace(config, seed=seed))[2]
@@ -65,9 +66,10 @@ def main(argv: list[str] | None = None) -> int:
         costs.append(result.final_cost)
         ripples.append(result.flat_top_ripple_db)
         evals += evals_w + evals_theta
+        backtracks += sum(s.backtracks for s in result.solves)
     print(f"{len(args.seeds)} seeds: cpu {cpu:.2f} s, median final cost "
           f"{statistics.median(costs):.4e}, worst ripple {max(ripples):.3f} dB, "
-          f"cost evaluations {evals}")
+          f"cost evaluations {evals}, backtracks {backtracks}")
     return 0
 
 
