@@ -138,15 +138,14 @@ class ChannelConfig:
     path (index 0, deterministic magnitude, uniform random phase) and the
     remaining paths; ``None`` makes every path zero-mean complex Gaussian.
     ``math.inf`` puts all power in the line-of-sight path, ``-math.inf``
-    none of it. The diffuse paths share their power equally.
-    ``angle_distribution`` is "uniform" for i.i.d. angles over [0, pi], or a
-    pair (arrival_angles, departure_angles) of fixed lists.
+    none of it. The diffuse paths share their power equally. Every angle is
+    drawn i.i.d. uniform over [0, pi]; to fix a path's angles, set them on
+    the drawn PathSet with ``dataclasses.replace``.
     """
 
     num_paths: int
     k_factor_db: float | None = None
     delay_spread_taps: int = 0
-    angle_distribution: str | tuple = "uniform"
 
     def __post_init__(self) -> None:
         if int(self.num_paths) != self.num_paths or self.num_paths < 1:
@@ -164,8 +163,6 @@ class ChannelConfig:
             except OverflowError:
                 raise ValueError(f"K-factor {self.k_factor_db:g} dB overflows in linear "
                                  "units (use Infinity for pure line-of-sight)") from None
-        if isinstance(self.angle_distribution, str) and self.angle_distribution != "uniform":
-            raise ValueError("angle_distribution must be 'uniform' or fixed lists")
 
 
 # Spawn key of every named random stream, fixed by the (config, seed) contract.
@@ -190,8 +187,7 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.SeedSequence | np.r
 
     1. line-of-sight phase (one uniform draw, only when a K-factor is set)
     2. diffuse gains (standard normal pairs, path order)
-    3. arrival angles (uniform draws for every path, then fixed values
-       overwrite where configured)
+    3. arrival angles (uniform over [0, pi], path order)
     4. departure angles (same scheme)
     5. delay taps (uniform integers over {0, ..., delay_spread_taps})
 
@@ -223,13 +219,6 @@ def sample_paths(config: ChannelConfig, rng: int | np.random.SeedSequence | np.r
 
     arrivals = gen.uniform(0.0, np.pi, size=lead + (q,))
     departures = gen.uniform(0.0, np.pi, size=lead + (q,))
-    if not isinstance(config.angle_distribution, str):
-        fixed_arr, fixed_dep = config.angle_distribution
-        if np.shape(fixed_arr) != (q,) or np.shape(fixed_dep) != (q,):
-            raise ValueError("fixed angle lists must match num_paths")
-        arrivals = np.broadcast_to(np.asarray(fixed_arr, dtype=float), lead + (q,))
-        departures = np.broadcast_to(np.asarray(fixed_dep, dtype=float), lead + (q,))
-
     taps = gen.integers(0, config.delay_spread_taps + 1, size=lead + (q,))
     return PathSet(gains, arrivals, departures, taps, powers)
 

@@ -179,9 +179,7 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir) -> dict:
     ris = ArrayGeometry(m)
     bs = ArrayGeometry(config.bs_antennas)
 
-    # fresh feed gains and delays along the design's fixed path angles
-    feed_cfg = dataclasses.replace(config.bs_ris_channel(), angle_distribution=(
-        tuple(design_paths.arrival_angles), tuple(design_paths.departure_angles)))
+    feed_cfg = config.bs_ris_channel()
     user_cfg = config.ris_user_channel()
     direct_cfg = config.direct_channel()
     subcarriers = np.arange(config.users) % n_c
@@ -190,7 +188,10 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir) -> dict:
     names = ("proposed", "random_phase", "no_ris")
     rates = np.empty((len(names), config.realizations, config.users))
     for r in range(config.realizations):
-        feed = sample_paths(feed_cfg, rng)
+        # fresh feed gains and delays along the design's path angles
+        feed = dataclasses.replace(sample_paths(feed_cfg, rng),
+                                   arrival_angles=design_paths.arrival_angles,
+                                   departure_angles=design_paths.departure_angles)
         theta_rand = random_unit_modulus(m, rng)
         angles = rng.uniform(lo, hi, size=config.users)
         users = sample_paths(user_cfg, rng, draws=config.users)

@@ -140,16 +140,15 @@ class CgResult:
     """The record of one CG solve: ``cost_trace`` holds the cost at the start
     point and after every accepted step (nonincreasing), ``status`` how the
     solve ended, ``cost_evals`` the calls of the cost, retries included,
-    ``grad_evals`` the calls of the gradient, and ``backtracks`` the
-    rejected trial steps of its Armijo searches: the halvings before each
-    accepted step, skipped trials included, and the whole budget of each
-    failed search."""
+    and ``backtracks`` the rejected trial steps of its Armijo searches: the
+    halvings before each accepted step, skipped trials included, and the
+    whole budget of each failed search. The gradient is called once at the
+    start point and once per accepted step, ``iterations + 1`` times."""
 
     point: np.ndarray
     cost_trace: np.ndarray
     status: str
     cost_evals: int
-    grad_evals: int
     backtracks: int
 
     @property
@@ -179,17 +178,12 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
     backtracked. The acceptance test is unchanged, so the cost trace stays
     nonincreasing.
     """
-    evals = grad_evals = backtracks = 0
+    evals = backtracks = 0
 
     def counted_cost(point):
         nonlocal evals
         evals += 1
         return cost(point)
-
-    def counted_grad(point):
-        nonlocal grad_evals
-        grad_evals += 1
-        return euclidean_grad(point)
 
     def search(x, d, g, j, params):
         nonlocal backtracks
@@ -203,7 +197,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
         return accepted
 
     x = np.asarray(x0, dtype=complex)
-    g = project(x, counted_grad(x))
+    g = project(x, euclidean_grad(x))
     d = -g
     j = float(counted_cost(x))
     trace = [j]
@@ -229,7 +223,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
             start = (min(armijo.initial_step, 2.0 * accepted.step)
                      if accepted.step == params.initial_step else accepted.step)
             warm = replace(armijo, initial_step=start)
-        g_new = project(x_new, counted_grad(x_new))
+        g_new = project(x_new, euclidean_grad(x_new))
         beta = max(0.0, real_inner(g_new, g_new - project(x_new, g)) / (gnorm * gnorm))
         d = -g_new + beta * project(x_new, d)
         rel_drop = (j - j_new) / max(abs(j), np.finfo(float).tiny)
@@ -239,7 +233,7 @@ def _cg_minimize(cost, euclidean_grad, x0, project, retraction, armijo,
             status = "cost_tolerance"
             break
     return CgResult(point=x, cost_trace=np.asarray(trace), status=status, cost_evals=evals,
-                    grad_evals=grad_evals, backtracks=backtracks)
+                    backtracks=backtracks)
 
 
 def rcg_minimize(cost: Callable[[np.ndarray], float],

@@ -165,29 +165,25 @@ def compute_weights(pattern_values: np.ndarray, target: TargetPattern,
 
 
 @lru_cache(maxsize=16)
-def _grid_steering_rows(oversampling: int, num_elements: int) -> np.ndarray:
-    """Rows a(phi_j)^H of the +cos grid steering stack, shape (grid, M): a
-    transposed view of the -cos stack, its exact conjugate. Cached."""
-    grid = AngularGrid(oversampling, num_elements)
-    rows = steering_matrix(ArrayGeometry(num_elements), grid.angles, "arrival_cos_neg").T
+def grid_steering_rows(grid: AngularGrid) -> np.ndarray:
+    """Surface steering vectors at every grid angle, conjugated and stacked
+    as rows, shape (grid, M): a transposed view of the -cos stack, its
+    exact conjugate. Cached."""
+    rows = steering_matrix(ArrayGeometry(grid.num_ris_elements), grid.angles,
+                           "arrival_cos_neg").T
     rows.flags.writeable = False
     return rows
 
 
-def grid_steering_rows(grid: AngularGrid) -> np.ndarray:
-    """Surface steering vectors at every grid angle, conjugated and stacked as rows."""
-    return _grid_steering_rows(grid.oversampling, grid.num_ris_elements)
-
-
 @lru_cache(maxsize=16)
-def _lag_table(oversampling: int, num_elements: int) -> np.ndarray:
+def _lag_table(grid: AngularGrid) -> np.ndarray:
     """cos and sin of pi k u_j weighted as in the beam-power series (1/M at
     lag 0, 2/M after) for the lags k < M at the first G//2 + 1 grid angles,
     shape (2, G//2 + 1, M); the other angles mirror them. Cached."""
-    grid = AngularGrid(oversampling, num_elements)
-    arg = np.outer(np.pi * np.cos(grid.angles[:grid.size // 2 + 1]), np.arange(num_elements))
-    table = (2.0 / num_elements) * np.stack((np.cos(arg), np.sin(arg)))
-    table[0, :, 0] = 1.0 / num_elements
+    m = grid.num_ris_elements
+    arg = np.outer(np.pi * np.cos(grid.angles[:grid.size // 2 + 1]), np.arange(m))
+    table = (2.0 / m) * np.stack((np.cos(arg), np.sin(arg)))
+    table[0, :, 0] = 1.0 / m
     table.flags.writeable = False
     return table
 
@@ -268,7 +264,7 @@ class _Solve:
     def __init__(self, stats: ChannelStats, grid: AngularGrid, target_values, weight_rule):
         m = stats.num_ris_elements
         self.stats, self.size = stats, grid.size
-        self.table = _lag_table(grid.oversampling, grid.num_ris_elements)
+        self.table = _lag_table(grid)
         self.ramps = np.ascontiguousarray(stats.ris_arrival.T) / np.sqrt(m)
         self.scale = float(m * m * stats.num_bs_antennas)
         self.f = None if target_values is None else np.asarray(target_values, dtype=float)

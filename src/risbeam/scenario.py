@@ -434,7 +434,7 @@ def _build_dataclass(cls, data, path: str):
 
 def _coerce(value, hint, path: str):
     origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
+    if origin is types.UnionType:
         args = [a for a in typing.get_args(hint) if a is not type(None)]
         if value is None:
             return None

@@ -112,12 +112,11 @@ class SynthesisResult:
 
     def diagnostics(self) -> dict:
         """The solves of this start in execution order: round, block,
-        iterations, cost and gradient evaluations, Armijo backtracks and
-        status of each."""
+        iterations, cost evaluations, Armijo backtracks and status of each."""
         return {"solves": [
             {"round": i // 2 + 1, "block": ("precoder", "theta")[i % 2],
              "iterations": s.iterations, "cost_evals": s.cost_evals,
-             "grad_evals": s.grad_evals, "backtracks": s.backtracks, "status": s.status}
+             "backtracks": s.backtracks, "status": s.status}
             for i, s in enumerate(self.solves)]}
 
     def solver_warnings(self) -> list[str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,14 +229,25 @@ class TestSamplePaths:
         np.testing.assert_allclose(p.mean_powers, 0.2, atol=1e-12)
         assert p.mean_powers.sum() == 1.0
 
-    def test_fixed_angles_and_los_pinning(self):
-        arr = (0.3, 0.5, 0.9)
-        dep = (1.0, 1.5, 2.0)
-        # the fixed lists also fix the line-of-sight path (index 0)
-        cfg = ChannelConfig(num_paths=3, k_factor_db=0.0, angle_distribution=(arr, dep))
-        p = sample_paths(cfg, 5)
-        np.testing.assert_allclose(p.arrival_angles, arr)
-        np.testing.assert_allclose(p.departure_angles, dep)
+    @pytest.mark.parametrize("draws", [None, 3])
+    def test_pinned_angles_keep_the_stream(self, draws):
+        # angles pinned on the draw, line-of-sight path included, leave the
+        # gains, taps and mean powers of the same seed and the next draw
+        # of a shared generator as they are
+        cfg = ChannelConfig(num_paths=3, k_factor_db=0.0, delay_spread_taps=4)
+        rngs = np.random.default_rng(5), np.random.default_rng(5)
+        plain = sample_paths(cfg, rngs[0], draws=draws)
+        arr = np.broadcast_to([0.3, 0.5, 0.9], plain.gains.shape)
+        dep = np.broadcast_to([1.0, 1.5, 2.0], plain.gains.shape)
+        pinned = dataclasses.replace(sample_paths(cfg, rngs[1], draws=draws),
+                                     arrival_angles=arr, departure_angles=dep)
+        np.testing.assert_array_equal(pinned.arrival_angles, arr)
+        np.testing.assert_array_equal(pinned.departure_angles, dep)
+        for name in ("gains", "tap_indices", "mean_powers"):
+            assert np.array_equal(getattr(pinned, name), getattr(plain, name)), name
+        following = [sample_paths(cfg, g, draws=draws) for g in rngs]
+        for name in ("gains", "arrival_angles", "departure_angles", "tap_indices"):
+            assert np.array_equal(getattr(following[0], name), getattr(following[1], name)), name
 
     def test_taps_within_spread(self):
         cfg = ChannelConfig(num_paths=8, delay_spread_taps=3)
@@ -279,8 +291,6 @@ class TestSamplePaths:
     @pytest.mark.parametrize("cfg", [
         ChannelConfig(num_paths=3, k_factor_db=2.0, delay_spread_taps=5),
         ChannelConfig(num_paths=2, delay_spread_taps=3),
-        ChannelConfig(num_paths=3, k_factor_db=0.0, angle_distribution=((0.3, 0.5, 0.9),
-                                                                       (1.0, 1.5, 2.0))),
     ])
     def test_single_batched_draw_matches_unbatched(self, cfg):
         one = sample_paths(cfg, 77)
@@ -299,13 +309,6 @@ class TestSamplePaths:
         expect = np.array([10 / 11, 1 / 33, 1 / 33, 1 / 33])
         assert np.all(np.abs(emp - expect) / expect < 0.01)
         np.testing.assert_allclose(np.abs(p.gains[:, 0]), math.sqrt(10 / 11), rtol=1e-12)
-
-    def test_batched_fixed_angles_and_los_pinning(self):
-        cfg = ChannelConfig(num_paths=2, k_factor_db=0.0, angle_distribution=((0.3, 0.5),
-                                                                             (1.0, 1.5)))
-        p = sample_paths(cfg, 5, draws=3)
-        np.testing.assert_array_equal(p.arrival_angles, [[0.3, 0.5]] * 3)
-        np.testing.assert_array_equal(p.departure_angles, [[1.0, 1.5]] * 3)
 
     def test_zero_draws(self):
         p = sample_paths(ChannelConfig(num_paths=3), 1, draws=0)

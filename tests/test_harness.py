@@ -391,6 +391,27 @@ class TestRunBroadcastCdf:
         assert [s["block"] for s in solves[:2]] == ["precoder", "theta"]
         assert all(s["cost_evals"] > s["iterations"] >= 0 for s in solves)
 
+    def test_feeds_keep_the_design_angles(self, tmp_path, monkeypatch):
+        # each realization redraws the feed gains along the design's angles
+        config = _tiny_config()
+        feeds = []
+        precoded = harness.analysis.precoded_channels
+
+        def recording(thetas, w, feed, *args):
+            feeds.append(feed)
+            return precoded(thetas, w, feed, *args)
+
+        monkeypatch.setattr(harness.analysis, "precoded_channels", recording)
+        harness.run_broadcast_cdf(config, tmp_path)
+        design = harness.sample_paths(config.bs_ris_channel(),
+                                      stream(config.seed, "design-channel"))
+        assert len(feeds) == config.realizations
+        for feed in feeds:
+            np.testing.assert_array_equal(feed.arrival_angles, design.arrival_angles)
+            np.testing.assert_array_equal(feed.departure_angles, design.departure_angles)
+            assert not np.allclose(feed.gains, design.gains)
+        assert not np.allclose(feeds[0].gains, feeds[1].gains)
+
     def test_zero_trials_clean(self, tmp_path):
         config = _tiny_config(realizations=0)
         report = harness.run_broadcast_cdf(config, tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from risbeam.channel import (ArrayGeometry, ChannelConfig, ChannelStats, channel
                              sample_paths, steering_matrix)
 from risbeam.manifold import random_unit_modulus
 from risbeam.pattern import (AngularGrid, TargetPattern, WeightConfig, _autocorrelation,
-                             _PhaseSolve, _PrecoderSolve, compute_weights, grid_steering_rows,
-                             normalized_pattern, path_excitations, pattern_cost, region_masks,
-                             target_value)
+                             _lag_table, _PhaseSolve, _PrecoderSolve, compute_weights,
+                             grid_steering_rows, normalized_pattern, path_excitations,
+                             pattern_cost, region_masks, target_value)
 from risbeam.synthesis import (measure_minus3db_region, optimize_precoder, phase_gradient,
                                precoder_gradient)
 from risbeam.validation import _dense_excitation, _full_matrix_pattern, relative_error
@@ -86,6 +88,14 @@ class TestAngularGrid:
     def test_oversampling_must_exceed_one(self):
         with pytest.raises(ValueError):
             AngularGrid(1, 8)
+
+    def test_caches_keyed_by_the_grid(self):
+        # equal grids share one steering stack and one lag table
+        a, b = AngularGrid(4, 8), AngularGrid(4, 8)
+        assert a is not b
+        assert grid_steering_rows(a) is grid_steering_rows(b)
+        assert _lag_table(a) is _lag_table(b)
+        assert _lag_table(AngularGrid(3, 8)) is not _lag_table(a)
 
 
 class TestWeights:
@@ -193,9 +203,9 @@ class TestAveragePowerPattern:
         rng = np.random.default_rng(3)
         incident, observe, feed_dep = 1.1, 2.0, 0.7
         geom_m, geom_b = ArrayGeometry(m), ArrayGeometry(n_bs)
-        paths = sample_paths(ChannelConfig(num_paths=1, k_factor_db=np.inf,
-                                           angle_distribution=((incident,), (feed_dep,))),
-                             rng)
+        paths = dataclasses.replace(sample_paths(ChannelConfig(num_paths=1, k_factor_db=np.inf),
+                                                 rng),
+                                    arrival_angles=[incident], departure_angles=[feed_dep])
         stats = channel_stats(paths, geom_m, geom_b)
         w = steering_matrix(geom_b, [feed_dep], "departure_sin_neg")
         idx = np.arange(m)

@@ -15,7 +15,8 @@ parent's interquartile range. It also records the git SHA and source
 digest of each side and the machine the pairs ran on.
 
 Exit 0 when the output was written; 1 when a paired record failed its
-checks or the two sides ran on different machines or builds; 2 on a usage
+checks, the two sides ran on different machines or builds, or one side ran
+from a git checkout and the other from an exported tree; 2 on a usage
 error or when nothing pairs.
 """
 
@@ -88,6 +89,14 @@ def fold(parent: dict, change: dict) -> tuple[dict, list[str]]:
             machine.setdefault(key, set()).add(json.dumps(rec["environment"].get(key)))
     problems += [f"the records disagree on {key}: {', '.join(sorted(vals))}"
                  for key, vals in machine.items() if len(vals) > 1]
+    # a checkout reads about 0.09 MB more peak RSS than an exported copy
+    trees = {side: sorted({"export" if recs[k]["environment"]["git_sha"] is None
+                           else "checkout" for k in keys})
+             for side, recs in (("parent", parent), ("change", change))}
+    if len(set(trees["parent"] + trees["change"])) > 1:
+        problems.append("the records ran from different kinds of tree (checkout: git_sha "
+                        f"set, export: git_sha null): parent {', '.join(trees['parent'])}, "
+                        f"change {', '.join(trees['change'])}")
     better = directions()
     groups: dict[tuple[str, int], list[tuple[str, int, int]]] = {}
     for k in keys:
