@@ -2,8 +2,9 @@
 
 Subcommands: synthesize | broadcast-cdf | ofdma-eval | gradcheck | beamshift
 | scaling-probe. Every run writes its data files plus a machine-readable
-report.json into --out; exit status is nonzero when a command's assertion
-fails (gradient threshold, ripple bound, shift mismatch).
+report.json into --out; exit status is 1 when a command's assertion fails
+(gradient threshold, ripple bound, shift mismatch) and 2 when the scenario
+or --out is unusable.
 
 Every flag but --config, --out and --preset has the dest ``scenario.<key>``
 and overrides that scenario key, so the scenario's checks and ``config_hash``
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from . import harness
 from .scenario import PRESETS, ScenarioConfig
@@ -90,6 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        try:  # after the load, so an invalid config leaves no directory
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

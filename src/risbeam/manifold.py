@@ -63,7 +63,7 @@ def is_unit_modulus(theta: np.ndarray, atol: float = 1e-9) -> bool:
 @dataclass(frozen=True)
 class ArmijoParams:
     """Backtracking constants: step q * contraction^n, sufficient-decrease
-    factor, and the halving budget.
+    factor, and the halving budget; the synthesis solves use the defaults.
 
     Inside a CG solve ``initial_step`` is q, the first search's step and the
     cap on every later one (see ``_cg_minimize``).

@@ -25,7 +25,6 @@ import numpy as np
 
 from .analysis import CoverageStats, LinkBudget, dbm_to_watts, default_flat_power, rate_scale
 from .channel import ArrayGeometry, ChannelConfig, path_loss_linear
-from .manifold import ArmijoParams
 from .pattern import AngularGrid, TargetPattern, WeightConfig, check_flat_top_resolved
 
 # Trial counts per named preset; keys in a config file override them.
@@ -74,29 +73,20 @@ def feed_channel(num_paths: int, k_factor_db: float | None,
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Line-search constants, per-solver iteration caps and tolerances, and
-    the multi-start count for the alternating synthesis."""
+    """The solver keywords of ``synthesis.synthesize``, with its defaults: the
+    multi-start count, per-solver iteration caps and tolerances. The Armijo
+    constants are ``manifold.ArmijoParams``' defaults alone."""
 
-    initial_step: float = 1.0
-    contraction: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_halvings: int = 50
+    num_starts: int = 3
     inner_max_iters: int = 500
     inner_grad_tol: float = 1e-6
     inner_cost_tol: float = 1e-8
     outer_max_iters: int = 50
     outer_tol: float = 1e-4
-    num_starts: int = 3
 
     def __post_init__(self) -> None:
-        _check("scenario.optimizer", "initial_step contraction sufficient_decrease "
-               "max_halvings", self.armijo)
         _at_least(self, "scenario.optimizer", 0, "inner_max_iters outer_max_iters")
         _at_least(self, "scenario.optimizer", 1, "num_starts")
-
-    def armijo(self) -> ArmijoParams:
-        return ArmijoParams(self.initial_step, self.contraction,
-                            self.sufficient_decrease, self.max_halvings)
 
 
 @dataclass(frozen=True)
@@ -301,14 +291,8 @@ class ScenarioConfig:
 
     def synthesis_kwargs(self) -> dict:
         """Keyword arguments of ``synthesis.synthesize`` shared by every design."""
-        opt = self.optimizer
         return dict(oversampling=self.oversampling, weight_config=self.weight_config(),
-                    armijo=opt.armijo(), num_starts=opt.num_starts,
-                    inner_max_iters=opt.inner_max_iters,
-                    inner_grad_tol=opt.inner_grad_tol,
-                    inner_cost_tol=opt.inner_cost_tol,
-                    outer_max_iters=opt.outer_max_iters,
-                    outer_tol=opt.outer_tol)
+                    **dataclasses.asdict(self.optimizer))
 
     def rate_scale(self) -> float:
         """Factor on every reported rate: cyclic-prefix efficiency times the

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStats
-from .manifold import (ArmijoParams, CgResult, euclidean_cg_minimize,
-                       random_unit_modulus, rcg_minimize)
+from .manifold import CgResult, euclidean_cg_minimize, random_unit_modulus, rcg_minimize
 from .pattern import (AngularGrid, TargetPattern, WeightConfig, _as_precoder, _PhaseSolve,
                       _PrecoderSolve, _weight_rule, check_flat_top_resolved,
                       normalized_pattern, region_masks, target_value)
@@ -55,7 +54,6 @@ def phase_gradient(theta, precoder, stats: ChannelStats, target_values: np.ndarr
 
 def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPattern,
                       grid: AngularGrid, weight_config: WeightConfig = WeightConfig(),
-                      armijo: ArmijoParams = ArmijoParams(),
                       grad_tol: float = 1e-6, cost_tol: float = 1e-8,
                       max_iters: int = 500) -> CgResult:
     """Euclidean CG over the precoder with the phases held fixed.
@@ -66,8 +64,8 @@ def optimize_precoder(precoder0, theta, stats: ChannelStats, target: TargetPatte
     w0, _ = _as_precoder(precoder0)
     solve = _PrecoderSolve(stats, grid, target_value(target, grid.angles),
                            _weight_rule(target, weight_config, grid.angles), theta)
-    result = euclidean_cg_minimize(solve.cost, solve.grad, w0, armijo, grad_tol, cost_tol,
-                                   max_iters)
+    result = euclidean_cg_minimize(solve.cost, solve.grad, w0, grad_tol=grad_tol,
+                                   cost_tol=cost_tol, max_iters=max_iters)
     result.point = result.point / np.linalg.norm(result.point)
     return result
 
@@ -147,7 +145,6 @@ def flat_top_ripple_db(pattern: np.ndarray, target: TargetPattern,
 
 def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
                oversampling: int = 10, weight_config: WeightConfig = WeightConfig(),
-               armijo: ArmijoParams = ArmijoParams(),
                seed: int | np.random.SeedSequence = 0,
                num_starts: int = 3, inner_max_iters: int = 500,
                inner_grad_tol: float = 1e-6, inner_cost_tol: float = 1e-8,
@@ -180,12 +177,11 @@ def synthesize(target: TargetPattern, stats: ChannelStats, num_streams: int,
         outer_capped = False
         for _ in range(outer_max_iters):
             w_step = optimize_precoder(w, theta, stats, target, grid, weight_config,
-                                       armijo, inner_grad_tol, inner_cost_tol,
-                                       inner_max_iters)
+                                       inner_grad_tol, inner_cost_tol, inner_max_iters)
             w = w_step.point
             solve = _PhaseSolve(stats, grid, f, weight_rule, w)
-            t_step = rcg_minimize(solve.cost, solve.grad, theta, armijo,
-                                  inner_grad_tol, inner_cost_tol, inner_max_iters)
+            t_step = rcg_minimize(solve.cost, solve.grad, theta, grad_tol=inner_grad_tol,
+                                  cost_tol=inner_cost_tol, max_iters=inner_max_iters)
             theta = t_step.point
             solves += [w_step, t_step]
 
@@ -230,8 +226,12 @@ def predict_shifted_region(region: CoverageRegion, incident_from: float,
     cos(phi) + cos(incident_from) - cos(incident_to) when re-illuminated from
     ``incident_to``. Returns ``None`` when the whole region is pushed outside
     [0, pi]. The prediction assumes the region lies in the upper half
-    [pi/2, pi]; under that hypothesis a shift towards smaller angles can
-    never push the lower edge past zero, and a violation raises.
+    [pi/2, pi]. A shift towards smaller angles can still move the lower
+    edge's u = cos(phi) past 1 while the upper edge stays inside: the shift
+    cos(incident_from) - cos(incident_to) approaches 2 (1.73 from 30 to 150
+    degrees). The beam of a half-wavelength array is periodic in u with
+    period 2, so that part wraps to u - 2, near pi (aliasing), and no single
+    interval predicts the region; this raises.
     """
     if not (np.pi / 2 <= region.phi_min and region.phi_max <= np.pi):
         raise ValueError("prediction requires the region inside [pi/2, pi]")

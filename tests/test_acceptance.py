@@ -19,8 +19,7 @@ from risbeam.analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
                               idealized_ofdma_channel_gains,
                               idealized_received_power_mc)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
-                             assemble_channel, channel_stats, sample_paths,
-                             time_domain_channel)
+                             assemble_channel, channel_stats, sample_paths)
 from risbeam.manifold import (project_tangent, random_unit_modulus,
                               rcg_minimize, retract)
 from risbeam.pattern import AngularGrid, TargetPattern, WeightConfig, normalized_pattern
@@ -28,6 +27,8 @@ from risbeam.scenario import ScenarioConfig
 from risbeam.synthesis import (CoverageRegion, measure_minus3db_region,
                                predict_shifted_region, synthesize)
 from risbeam.validation import gradient_check
+
+from channel_oracles import time_domain_channel
 
 
 def _announce(name: str, ok: bool, detail: str) -> None:

@@ -112,7 +112,7 @@ OUT_OF_RANGE = {
     "direct_exponent": st.sampled_from([math.inf, -math.inf]),
     "bs_position": st.just([math.nan, 0.0]),
     "flat_weight": st.just(math.nan),
-    "optimizer.initial_step": st.sampled_from([math.nan, math.inf]),
+    "optimizer.outer_tol": st.just(math.nan),
     "ofdma.p_sweep_dbm": st.just([10.0, math.nan]),
     "overhead_fraction": st.one_of(st.floats(min_value=1.0), st.floats(max_value=0.0,
                                    exclude_max=True), st.just(-math.inf)),

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -14,7 +15,7 @@ import risbeam.synthesis
 import risbeam.validation
 from risbeam import cli, harness
 from risbeam.channel import stream
-from risbeam.scenario import ScenarioConfig
+from risbeam.scenario import OptimizerSpec, ScenarioConfig
 
 TINY = dict(
     ris_elements=24, bs_antennas=8, ue_antennas=2, streams=2,
@@ -22,13 +23,14 @@ TINY = dict(
     users=8, realizations=3, subcarriers=16, cp_length=2, seed=11,
 )
 TINY_OPT = dict(num_starts=1, inner_max_iters=100, outer_max_iters=8)
+COMMANDS = ("synthesize", "broadcast-cdf", "ofdma-eval", "gradcheck", "beamshift",
+            "scaling-probe")
 # every inner solve runs into its 4-iteration cap
 CAPPED_OPT = dict(num_starts=1, inner_max_iters=4, outer_max_iters=2, outer_tol=0.0,
                   inner_cost_tol=0.0, inner_grad_tol=0.0)
 
 
 def _opt():
-    from risbeam.scenario import OptimizerSpec
     return OptimizerSpec(**TINY_OPT)
 
 
@@ -73,10 +75,10 @@ class TestScenarioConfig:
             ScenarioConfig.load(None, "huge")
 
     @pytest.mark.parametrize("data, preset, golden", [
-        (None, "ci", "44295973e49ae7539e5e10cf6ca60d312f17c5f7213081060015637ecce07ae0"),
-        (None, "paper", "0ba5f4e909bd6ea24fb3fe6a9046455bdba37fcc9667a5519c4a02a2d64b1ae4"),
+        (None, "ci", "206450cb0a56b4bc35f14077c23deaae022e00defdab13234a56b6f6c79961d2"),
+        (None, "paper", "bbcf4963b1cae2ee014efa2084722d2b808e19d796578f51c5464e7e79e9a886"),
         # the file's own users override the preset's; realizations stay 500
-        ({"users": 7}, "paper", "3244ffbe79b5c862730be590c23156f5280159676949529c82dbbc5a7b3f042f"),
+        ({"users": 7}, "paper", "e47a744b0f6fdb27d92b403f1573098b9052eb6303cb5ae2d2f44db61ace6468"),
     ])
     def test_load_config_hash_golden(self, tmp_path, data, preset, golden):
         path = None
@@ -84,6 +86,17 @@ class TestScenarioConfig:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(data))
         assert ScenarioConfig.load(path, preset).config_hash() == golden
+
+    def test_solver_defaults_are_synthesize_defaults(self):
+        # the scenario's solver settings are synthesize's keywords, stated
+        # twice: a default changed in one place fails here until the other
+        # follows
+        params = inspect.signature(risbeam.synthesis.synthesize).parameters
+        defaults = {name: p.default for name, p in params.items()
+                    if p.default is not p.empty and name != "seed"}
+        assert ScenarioConfig().synthesis_kwargs() == defaults
+        assert [f.name for f in dataclasses.fields(OptimizerSpec)] == [
+            name for name in defaults if name not in ("oversampling", "weight_config")]
 
     def test_unknown_key_reports_path(self):
         with pytest.raises(ValueError, match=r"scenario\.optimizer\.bogus"):
@@ -195,7 +208,6 @@ class TestRunSynthesize:
         assert on_disk["payload"]["diagnostics"] == diagnostics
 
     def test_capped_solves_reported(self, tmp_path):
-        from risbeam.scenario import OptimizerSpec
         config = ScenarioConfig(optimizer=OptimizerSpec(**CAPPED_OPT), **TINY)
         report = harness.run_synthesize(config, tmp_path)
         warnings = report["payload"]["warnings"]
@@ -205,7 +217,6 @@ class TestRunSynthesize:
     def test_capped_outer_loop_reported(self, tmp_path):
         # the same budget with a positive outer_tol: the round cap now cut
         # the alternation short, and only report.json says so
-        from risbeam.scenario import OptimizerSpec
         capped = {**CAPPED_OPT, "outer_tol": 1e-4}
         config = ScenarioConfig(optimizer=OptimizerSpec(**capped), **TINY)
         report = harness.run_synthesize(config, tmp_path / "tol")
@@ -765,8 +776,7 @@ class TestCli:
         ({"tx_power_dbm": math.nan}, "scenario.tx_power_dbm"),
         ({"bs_position": [math.nan, 0.0]}, "scenario.bs_position[0]"),
         ({"flat_weight": math.nan}, "scenario.flat_weight"),
-        ({"optimizer": {"initial_step": math.nan}}, "scenario.optimizer.initial_step"),
-        ({"optimizer": {"initial_step": math.inf}}, "scenario.optimizer.initial_step"),
+        ({"optimizer": {"outer_tol": math.nan}}, "scenario.optimizer.outer_tol"),
         ({"ofdma": {"p_sweep_dbm": [10.0, math.nan]}}, "scenario.ofdma.p_sweep_dbm[1]"),
         # an integer field rejects NaN and Infinity with its path
         ({"users": math.nan}, "scenario.users"),
@@ -803,6 +813,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err.split(": ")[1]
         assert not (tmp_path / "o").exists()
+
+    # the Armijo constants are manifold.ArmijoParams' defaults, not scenario
+    # keys; each value here is the default it had as a key
+    @pytest.mark.parametrize("key, value", [("initial_step", 1.0), ("contraction", 0.5),
+                                            ("sufficient_decrease", 1e-4),
+                                            ("max_halvings", 50)])
+    def test_line_search_constants_are_unknown_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {key: value}}))
+        for command in COMMANDS:
+            start = time.perf_counter()
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert capsys.readouterr().err == f"error: scenario.optimizer.{key}: unknown key\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_unusable_out_fails_fast(self, tmp_path, capsys):
+        # a usage error (exit 2), told apart from a failed audit or bound (exit 1)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        for out in (blocker, blocker / "sub"):
+            for command in COMMANDS:
+                start = time.perf_counter()
+                code = cli.main([command, "--out", str(out)])
+                assert time.perf_counter() - start < 1.0
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: --out: ") and str(out) in err
+        assert blocker.read_text() == "kept\n"
 
     def test_more_streams_than_antennas_runs(self, tmp_path):
         # a rank-deficient precoder (6 streams on 4 antennas) still defines

@@ -15,8 +15,7 @@ SRC = Path(risbeam.__file__).resolve().parent
 # closed form (ROADMAP item 6) and the dense channel oracles move to tests/
 # (item 7). Drop a name once a run reaches it.
 ALLOWED = {"analysis.avg_received_power", "analysis.idealized_received_power_mc",
-           "analysis.equivalent_channel", "channel.assemble_channel",
-           "channel.time_domain_channel"}
+           "analysis.equivalent_channel", "channel.assemble_channel"}
 
 M = 8
 TINY = {"ris_elements": M, "oversampling": 4, "bs_antennas": 2, "ue_antennas": 1, "streams": 1,
