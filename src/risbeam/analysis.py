@@ -199,45 +199,24 @@ class CoverageStats:
         return k / (k + 1.0) + self.beamwidth_rad / (np.pi * (k + 1.0))
 
 
-def avg_received_power(stats: CoverageStats, budget: LinkBudget) -> float:
-    """Average received power (W) of a user inside an ideal flat-top sector,
-    noise included; flat across user positions within the sector."""
-    signal = (budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
-              * stats.flat_power * stats.in_coverage_power_fraction)
-    return signal + budget.noise_power_w
+def avg_received_power(stats: CoverageStats, budget: LinkBudget,
+                       num_bs_antennas: int) -> float:
+    """Mean received power (W) with MRT of a user inside an ideal flat-top
+    sector, noise included: p (b1 b2 F frac + b_d N_BS) + noise, where
+    b_d N_BS is the direct channel's mean power; flat across user positions
+    within the sector."""
+    signal = (budget.bs_ris_gain * budget.ris_user_gain * stats.flat_power
+              * stats.in_coverage_power_fraction + budget.direct_gain * num_bs_antennas)
+    return budget.tx_power_w * signal + budget.noise_power_w
 
 
 def analytic_ofdma_rate(stats: CoverageStats, budget: LinkBudget,
                         num_subcarriers: int, num_bs_antennas: int) -> float:
     """Closed-form OFDMA downlink rate (bits per OFDM symbol) under an ideal
-    flat-top pattern; grows logarithmically with the flat-top gain."""
-    ris_term = (budget.snr_scale * budget.bs_ris_gain * budget.ris_user_gain
-                * stats.flat_power * stats.in_coverage_power_fraction)
-    direct_term = budget.snr_scale * budget.direct_gain * num_bs_antennas
-    return num_subcarriers * math.log2(1.0 + ris_term + direct_term)
-
-
-def _flat_top_user_draws(stats: CoverageStats, coverage: tuple[float, float],
-                         num_nlos_paths: int, num_subcarriers: int, draws: int,
-                         rng: np.random.Generator) -> tuple[PathSet, np.ndarray]:
-    """User-link draws under the ideal flat top and their reflected amplitudes.
-
-    The link has a line-of-sight path when K > 0, whose departure is redrawn
-    inside the sector, and delays anywhere within the symbol. A path leaving
-    the surface inside the sector is reflected with amplitude
-    sqrt(flat_power), any other not at all.
-    """
-    lo, hi = coverage
-    k = stats.k_factor_linear
-    link = ChannelConfig(num_nlos_paths + int(k > 0), 10.0 * math.log10(k) if k > 0 else None,
-                         delay_spread_taps=num_subcarriers - 1)
-    paths = sample_paths(link, rng, draws=draws)
-    depart = paths.departure_angles.copy()
-    if k > 0:
-        depart[:, 0] = rng.uniform(lo, hi, size=draws)
-    amp = paths.gains * np.sqrt(np.where((depart >= lo) & (depart <= hi),
-                                         stats.flat_power, 0.0))
-    return paths, amp
+    flat-top pattern: N_c log2 of the mean received power over the noise, so
+    it grows logarithmically with the flat-top gain."""
+    power = avg_received_power(stats, budget, num_bs_antennas)
+    return num_subcarriers * math.log2(power / budget.noise_power_w)
 
 
 def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, float],
@@ -247,16 +226,22 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
                                   num_realizations: int, rng: np.random.Generator) -> np.ndarray:
     """Combined channel power gains g of shape (realizations, subcarriers)
     under a synthetically ideal flat top, so the per-subcarrier SNR with MRT
-    is (p / noise) * g.
+    is (p / noise) * g and p * mean(g) + noise is the mean received power.
 
     The reflected response is instantiated directly on the user-link paths:
     a path leaving the surface inside the covered sector contributes with
     amplitude sqrt(flat_power), any other path contributes nothing (the
     response phase is immaterial because path gains carry uniform random
-    phases). The cascade rides on the rank-one transmit steering of the
-    line-of-sight feed and adds to the diffuse direct channel; the user's
-    own line-of-sight departure is drawn inside the sector.
+    phases). The user link has a line-of-sight path when K > 0, whose
+    departure is redrawn inside the sector, and delays anywhere within the
+    symbol. The cascade rides on the rank-one transmit steering of the
+    line-of-sight feed and adds to the diffuse direct channel.
     """
+    lo, hi = coverage
+    k = stats.k_factor_linear
+    user_link = ChannelConfig(num_nlos_paths + int(k > 0),
+                              10.0 * math.log10(k) if k > 0 else None,
+                              delay_spread_taps=num_subcarriers - 1)
     direct_link = ChannelConfig(num_direct_paths, None, delay_spread_taps=num_subcarriers - 1)
     bs = ArrayGeometry(num_bs_antennas)
     a1 = math.sqrt(bs_ris_user_gain)
@@ -267,8 +252,12 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
     done = 0
     while done < num_realizations:
         r = min(REALIZATION_BLOCK, num_realizations - done)
-        user, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
-                                         num_subcarriers, r, rng)
+        user = sample_paths(user_link, rng, draws=r)
+        depart = user.departure_angles.copy()
+        if k > 0:
+            depart[:, 0] = rng.uniform(lo, hi, size=r)
+        amp = user.gains * np.sqrt(np.where((depart >= lo) & (depart <= hi),
+                                            stats.flat_power, 0.0))
         cascade = np.sum(freq_gain(amp[:, None, :], user.tap_indices[:, None, :], ks,
                                    num_subcarriers), axis=-1)
 
@@ -285,27 +274,3 @@ def idealized_ofdma_channel_gains(stats: CoverageStats, coverage: tuple[float, f
         done += r
     return out
 
-
-def idealized_received_power_mc(stats: CoverageStats, budget: LinkBudget,
-                                coverage: tuple[float, float], num_nlos_paths: int,
-                                num_draws: int, rng: np.random.Generator,
-                                num_ue_antennas: int = 4,
-                                num_subcarriers: int = 16) -> float:
-    """Monte Carlo mean received power (W) under the ideal flat top.
-
-    Simulates the per-antenna, per-subcarrier instantaneous power including
-    the cross-path interference terms, then averages over antennas,
-    subcarriers and channel draws; the user's line-of-sight departure is
-    random inside the sector, diffuse departures uniform over [0, pi].
-    """
-    paths, amp = _flat_top_user_draws(stats, coverage, num_nlos_paths,
-                                      num_subcarriers, num_draws, rng)
-    ue = steering_matrix(ArrayGeometry(num_ue_antennas), paths.arrival_angles,
-                         "departure_sin_neg")
-    gains = freq_gain(amp[:, None, :], paths.tap_indices[:, None, :],
-                      np.arange(num_subcarriers)[:, None], num_subcarriers)
-    # unit-norm steering: N_UE times the mean is the mean per-antenna power
-    field = ue @ gains.swapaxes(-1, -2)
-    scale = budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
-    return (scale * num_ue_antennas * float(np.mean(np.abs(field) ** 2))
-            + budget.noise_power_w)

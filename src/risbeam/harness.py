@@ -230,8 +230,9 @@ def run_broadcast_cdf(config: ScenarioConfig, out_dir) -> dict:
 
 
 def run_ofdma_eval(config: ScenarioConfig, out_dir) -> dict:
-    """Monte Carlo mean OFDMA rate under the ideal flat top next to its
-    closed-form prediction, swept over the Rice factor and transmit power."""
+    """Monte Carlo mean OFDMA rate and received power under the ideal flat
+    top next to their closed forms, swept over the Rice factor and transmit
+    power."""
     t0 = time.perf_counter()
     n_c = config.subcarriers
     scale = config.rate_scale()
@@ -240,8 +241,8 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir) -> dict:
     budget0 = config.budget()
     coverage = tuple(math.radians(d) for d in spec.coverage_deg)
 
-    rows = []
-    worst = 0.0
+    rows, powers = [], []
+    worst = worst_power = 0.0
     for i, k_db in enumerate(spec.k_sweep_db):
         stats = spec.coverage_stats(k_db)
         gains = analysis.idealized_ofdma_channel_gains(
@@ -256,18 +257,23 @@ def run_ofdma_eval(config: ScenarioConfig, out_dir) -> dict:
             rel = abs(closed - mc) / max(mc, np.finfo(float).tiny)
             worst = max(worst, rel)
             rows.append((k_db, p_dbm, mc, closed, 100.0 * rel))
+            power = analysis.avg_received_power(stats, budget, config.bs_antennas)
+            mc_power = budget.tx_power_w * float(np.mean(gains)) + budget.noise_power_w
+            worst_power = max(worst_power, abs(power - mc_power) / mc_power)
+            powers.append(power)
     _write_csv(out / "rates.csv",
                dict.fromkeys(["k_factor_db", "tx_power_dbm", "mc_rate_bits_per_symbol",
                               "analytic_rate_bits_per_symbol", "rel_err_pct"], _G), rows)
     with open(out / "analytic.txt", "w") as fh:
         fh.write("closed-form OFDMA downlink rate (bits per OFDM symbol, "
-                 "CP-adjusted, overhead-scaled)\n")
-        for k_db, p_dbm, _, closed, _ in rows:
-            fh.write(f"K = {k_db:+.1f} dB, p = {p_dbm:.1f} dBm: {closed:.6g}\n")
+                 "CP-adjusted, overhead-scaled) and mean received power (W, noise included)\n")
+        for (k_db, p_dbm, _, closed, _), power in zip(rows, powers):
+            fh.write(f"K = {k_db:+.1f} dB, p = {p_dbm:.1f} dBm: {closed:.6g}, "
+                     f"received power {power:.6g} W\n")
     payload = {
         "worst_rel_err_pct": 100.0 * worst,
-        "flat_power": analysis.default_flat_power(spec.ris_elements,
-                                                  coverage[1] - coverage[0]),
+        "received_power_rel_err_pct": 100.0 * worst_power,
+        "flat_power": stats.flat_power,  # the same at every Rice factor
         "realizations": spec.realizations,
         "overhead_fraction": config.overhead_fraction,
     }

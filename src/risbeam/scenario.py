@@ -91,8 +91,9 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class OfdmaEvalSpec:
-    """Closed-form versus Monte Carlo OFDMA rate comparison (ideal flat top,
-    dominant line-of-sight feed, 200-element surface covering 90-120 deg).
+    """Closed-form versus Monte Carlo OFDMA rate and received power (ideal
+    flat top, dominant line-of-sight feed, 200-element surface covering
+    90-120 deg).
 
     The closed form replaces the direct-channel power by its mean, which
     needs mild concentration to hold; six diffuse direct paths keep that
@@ -110,6 +111,15 @@ class OfdmaEvalSpec:
         path = "scenario.ofdma"
         _check(path, "ris_elements", lambda: ArrayGeometry(self.ris_elements))
         _nonempty(self, path, "k_sweep_db p_sweep_dbm")
+        for p_dbm in self.p_sweep_dbm:
+            # as tx_power_dbm: overflowing or infinite powers fail, -inf dBm is 0 W
+            _check(path, "p_sweep_dbm", lambda: LinkBudget(dbm_to_watts(p_dbm), 1.0, 0.0, 0.0))
+        # departures are drawn in [0, 180] degrees, and the closed form's
+        # diffuse share width/180 assumes all of the sector can receive them
+        lo, hi = self.coverage_deg
+        if not (0.0 <= lo and hi <= 180.0):
+            raise ValueError(f"{path}.coverage_deg: sector must lie inside [0, 180] degrees, "
+                             f"got [{lo}, {hi}]")
         for k_db in self.k_sweep_db:
             _check(path, "coverage_deg k_sweep_db", lambda: self.coverage_stats(k_db))
         # the diffuse user paths carry the residual of any finite K-factor

@@ -16,8 +16,7 @@ import pytest
 from risbeam import harness
 from risbeam.analysis import (CoverageStats, LinkBudget, analytic_ofdma_rate,
                               avg_received_power, dbm_to_watts,
-                              idealized_ofdma_channel_gains,
-                              idealized_received_power_mc)
+                              idealized_ofdma_channel_gains)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet,
                              assemble_channel, channel_stats, sample_paths)
 from risbeam.manifold import (project_tangent, random_unit_modulus,
@@ -196,8 +195,12 @@ def test_constant_received_power_prediction():
             width = math.radians(width_deg)
             stats = CoverageStats(10.0 ** (k_db / 10.0), width, 600.0)
             cov = (math.radians(95.0), math.radians(95.0) + width)
-            mc = idealized_received_power_mc(stats, budget, cov, 3, 10_000, rng)
-            closed = avg_received_power(stats, budget)
+            # one direct path at zero gain, 16 subcarriers: the reflected power alone
+            gains = idealized_ofdma_channel_gains(stats, cov, 3, 1, 16, 64,
+                                                  budget.bs_ris_gain * budget.ris_user_gain,
+                                                  budget.direct_gain, 10_000, rng)
+            mc = budget.tx_power_w * float(np.mean(gains)) + budget.noise_power_w
+            closed = avg_received_power(stats, budget, 64)
             worst = max(worst, abs(mc - closed) / closed)
     ok = worst < 0.02
     _announce("constant-received-power", ok,

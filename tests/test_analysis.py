@@ -7,7 +7,6 @@ from risbeam.analysis import (USER_BLOCK, CoverageStats, LinkBudget,
                               analytic_ofdma_rate, avg_received_power, dbm_to_watts,
                               equivalent_channel,
                               idealized_ofdma_channel_gains,
-                              idealized_received_power_mc,
                               precoded_channels, rate_scale, subcarrier_rates)
 from risbeam.channel import (ArrayGeometry, ChannelConfig, PathSet, assemble_channel,
                              sample_paths)
@@ -188,16 +187,25 @@ class TestPrecodedChannels:
 
 class TestClosedForms:
     def test_full_coverage_pure_diffuse(self):
+        # the direct channel adds its mean power b_d * N_BS under MRT
         stats = CoverageStats(0.0, np.pi, 5.0)
         budget = _budget()
-        expected = (budget.tx_power_w * budget.bs_ris_gain * budget.ris_user_gain
-                    * 5.0 + budget.noise_power_w)
-        assert avg_received_power(stats, budget) == pytest.approx(expected, rel=1e-12)
+        expected = (budget.tx_power_w * (budget.bs_ris_gain * budget.ris_user_gain * 5.0
+                                         + budget.direct_gain * 8)
+                    + budget.noise_power_w)
+        assert avg_received_power(stats, budget, 8) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_flat_power_noise_only(self):
         stats = CoverageStats(2.0, 1.0, 0.0)
+        budget = _budget(direct=0.0)
+        assert avg_received_power(stats, budget, 8) == budget.noise_power_w
+
+    def test_rate_is_log_of_received_power(self):
+        stats = CoverageStats(1.0, 1.0, 5.0)
         budget = _budget()
-        assert avg_received_power(stats, budget) == budget.noise_power_w
+        power = avg_received_power(stats, budget, 8)
+        assert analytic_ofdma_rate(stats, budget, 16, 8) == pytest.approx(
+            16 * math.log2(power / budget.noise_power_w), rel=1e-12)
 
     def test_pure_los_limit(self):
         stats = CoverageStats(math.inf, 0.5, 7.0)
@@ -227,8 +235,12 @@ class TestClosedForms:
         stats = CoverageStats(10.0, np.deg2rad(40), 300.0)
         budget = LinkBudget(0.1, 1e-11, 2.8e-8, 2.9e-6, 0.0)
         cov = (np.deg2rad(95), np.deg2rad(135))
-        mc = idealized_received_power_mc(stats, budget, cov, 3, 4000, rng)
-        closed = avg_received_power(stats, budget)
+        # one direct path at zero gain, 16 subcarriers: the reflected power alone
+        gains = idealized_ofdma_channel_gains(stats, cov, 3, 1, 16, 8,
+                                              budget.bs_ris_gain * budget.ris_user_gain,
+                                              budget.direct_gain, 4000, rng)
+        mc = budget.tx_power_w * float(np.mean(gains)) + budget.noise_power_w
+        closed = avg_received_power(stats, budget, 8)
         assert abs(mc - closed) / closed < 0.02
 
     def test_ofdma_rate_matches_monte_carlo(self):

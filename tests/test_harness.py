@@ -13,7 +13,7 @@ import pytest
 
 import risbeam.synthesis
 import risbeam.validation
-from risbeam import cli, harness
+from risbeam import analysis, cli, harness
 from risbeam.channel import stream
 from risbeam.scenario import OptimizerSpec, ScenarioConfig
 
@@ -532,6 +532,39 @@ class TestRunOfdmaEval:
         assert len(lines) == 2  # header + one (K, p) cell
         assert report["exit_code"] == 0
 
+    def test_received_power_checked_on_the_drawn_gains(self, tmp_path, monkeypatch):
+        drawn = []
+        idealized = harness.analysis.idealized_ofdma_channel_gains
+
+        def recording(*args):
+            drawn.append(idealized(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(harness.analysis, "idealized_ofdma_channel_gains", recording)
+        config = ScenarioConfig.from_dict({
+            "seed": 5, "subcarriers": 16, "bs_antennas": 8,
+            "ofdma": {"ris_elements": 32, "k_sweep_db": [0.0, 10.0],
+                      "p_sweep_dbm": [10.0, -math.inf], "realizations": 50},
+        })
+        report = harness.run_ofdma_eval(config, tmp_path)
+        spec, budget0 = config.ofdma, config.budget()
+        closed, errors = [], []
+        for k_db, gains in zip(spec.k_sweep_db, drawn, strict=True):
+            for p_dbm in spec.p_sweep_dbm:
+                budget = dataclasses.replace(budget0, tx_power_w=analysis.dbm_to_watts(p_dbm))
+                power = analysis.avg_received_power(spec.coverage_stats(k_db), budget, 8)
+                mc = budget.tx_power_w * float(np.mean(gains)) + budget.noise_power_w
+                closed.append(power)
+                errors.append(abs(power - mc) / mc)
+        assert report["payload"]["received_power_rel_err_pct"] == pytest.approx(
+            100.0 * max(errors), rel=1e-12)
+        # a 0 W sweep point receives the noise alone, in both models
+        assert closed[1] == closed[3] == budget0.noise_power_w
+        lines = (tmp_path / "analytic.txt").read_text().splitlines()[1:]
+        assert len(lines) == len(closed)
+        for line, power in zip(lines, closed):
+            assert line.endswith(f", received power {power:.6g} W")
+
 
 class TestRunGradcheck:
     def test_default_instances_pass(self, tmp_path):
@@ -778,6 +811,12 @@ class TestCli:
         ({"flat_weight": math.nan}, "scenario.flat_weight"),
         ({"optimizer": {"outer_tol": math.nan}}, "scenario.optimizer.outer_tol"),
         ({"ofdma": {"p_sweep_dbm": [10.0, math.nan]}}, "scenario.ofdma.p_sweep_dbm[1]"),
+        # sweep powers fail as tx_power_dbm does; -Infinity dBm (0 W) stays valid
+        ({"ofdma": {"p_sweep_dbm": [10.0, 1e6]}}, "scenario.ofdma.p_sweep_dbm"),
+        ({"ofdma": {"p_sweep_dbm": [math.inf]}}, "scenario.ofdma.p_sweep_dbm"),
+        # departures are drawn in [0, 180] degrees only
+        ({"ofdma": {"coverage_deg": [-60, 60]}}, "scenario.ofdma.coverage_deg"),
+        ({"ofdma": {"coverage_deg": [150, 190]}}, "scenario.ofdma.coverage_deg"),
         # an integer field rejects NaN and Infinity with its path
         ({"users": math.nan}, "scenario.users"),
         ({"users": math.inf}, "scenario.users"),

@@ -11,11 +11,9 @@ from risbeam import cli
 
 SRC = Path(risbeam.__file__).resolve().parent
 
-# Reached from tests only, until `ofdma-eval` reports the received-power
-# closed form (ROADMAP item 6) and the dense channel oracles move to tests/
-# (item 7). Drop a name once a run reaches it.
-ALLOWED = {"analysis.avg_received_power", "analysis.idealized_received_power_mc",
-           "analysis.equivalent_channel", "channel.assemble_channel"}
+# Reached from tests only, until the dense channel oracles move to tests/
+# (ROADMAP item 7). Drop a name once a run reaches it.
+ALLOWED = {"analysis.equivalent_channel", "channel.assemble_channel"}
 
 M = 8
 TINY = {"ris_elements": M, "oversampling": 4, "bs_antennas": 2, "ue_antennas": 1, "streams": 1,
